@@ -7,18 +7,34 @@
 namespace eq {
 namespace scalesim {
 
-std::string
-dataflowName(Dataflow df)
+namespace {
+
+// Array dims bound the PE count of the generated module; the conv dims
+// bound its loop trip counts.
+constexpr int64_t kMaxArray = 128, kMaxDim = 1024;
+
+using fields::intField;
+
+} // namespace
+
+const fields::Table &
+Config::fieldTable()
 {
-    switch (df) {
-      case Dataflow::WS:
-        return "WS";
-      case Dataflow::IS:
-        return "IS";
-      case Dataflow::OS:
-        return "OS";
-    }
-    return "?";
+    static const fields::Table table{
+        "systolic",
+        {intField<&Config::ah, 1, kMaxArray>("ah"),
+         intField<&Config::aw, 1, kMaxArray>("aw"),
+         fields::enumField<&Config::dataflow, kDataflowNames>("df"),
+         intField<&Config::c, 1, kMaxDim>("c"),
+         intField<&Config::h, 1, kMaxDim>("h"),
+         intField<&Config::w, 1, kMaxDim>("w"),
+         intField<&Config::n, 1, kMaxDim>("n"),
+         intField<&Config::fh, 1, kMaxDim, &Config::h>("fh"),
+         intField<&Config::fw, 1, kMaxDim, &Config::w>("fw"),
+         intField<&Config::elemBytes, 1, 8>("elem_bytes")},
+        {{"hw", 1, kMaxDim, fields::setBoth<&Config::h, &Config::w>},
+         {"f", 1, kMaxDim, fields::setBoth<&Config::fh, &Config::fw>}}};
+    return table;
 }
 
 int64_t
@@ -46,37 +62,6 @@ Config::d2() const
         return int64_t(fh) * fw * c;
     }
     return 0;
-}
-
-namespace {
-
-uint64_t
-fnv1a(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-} // namespace
-
-uint64_t
-Config::hash() const
-{
-    uint64_t hv = 0xcbf29ce484222325ull;
-    hv = fnv1a(hv, uint64_t(ah));
-    hv = fnv1a(hv, uint64_t(aw));
-    hv = fnv1a(hv, uint64_t(dataflow));
-    hv = fnv1a(hv, uint64_t(c));
-    hv = fnv1a(hv, uint64_t(h));
-    hv = fnv1a(hv, uint64_t(w));
-    hv = fnv1a(hv, uint64_t(n));
-    hv = fnv1a(hv, uint64_t(fh));
-    hv = fnv1a(hv, uint64_t(fw));
-    hv = fnv1a(hv, uint64_t(elemBytes));
-    return hv;
 }
 
 int64_t

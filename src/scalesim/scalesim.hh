@@ -27,12 +27,22 @@
 #include <string>
 #include <vector>
 
+#include "base/fields.hh"
+
 namespace eq {
 namespace scalesim {
 
 enum class Dataflow { WS, IS, OS };
 
-std::string dataflowName(Dataflow df);
+/** Each Dataflow's spelling in the config wire format, in enum order. */
+inline const char *const kDataflowNames[] = {"WS", "IS", "OS"};
+
+inline std::string
+dataflowName(Dataflow df)
+{
+    size_t i = size_t(df);
+    return i < std::size(kDataflowNames) ? kDataflowNames[i] : "?";
+}
 
 /** Convolution + array configuration (no padding, unit stride). */
 struct Config {
@@ -59,28 +69,16 @@ struct Config {
         return int64_t(n) * eh() * ew() * c * fh * fw;
     }
 
-    /** Structural identity: two equal configs generate identical
-     *  modules, so batched sweeps may reuse the built module. */
-    friend bool
-    operator==(const Config &a, const Config &b)
-    {
-        return a.ah == b.ah && a.aw == b.aw &&
-               a.dataflow == b.dataflow && a.c == b.c && a.h == b.h &&
-               a.w == b.w && a.n == b.n && a.fh == b.fh &&
-               a.fw == b.fw && a.elemBytes == b.elemBytes;
-    }
-    friend bool
-    operator!=(const Config &a, const Config &b)
-    {
-        return !(a == b);
-    }
-
-    /** FNV-1a over every structural field (mirrors soc::SocConfig);
-     *  stable across runs so caches can key on it. Equal configs hash
-     *  equal; the converse is NOT guaranteed — cache lookups must
-     *  verify full operator== equality on a hash hit. */
-    uint64_t hash() const;
+    /** The field table (scalesim.cc), with the "hw" and "f" composite
+     *  axes and the rule fh <= h, fw <= w. ==, != and hash() derive
+     *  from it: equal configs generate identical modules and hash
+     *  equal (the converse is NOT guaranteed). */
+    static const fields::Table &fieldTable();
+    uint64_t hash() const { return fields::hash(fieldTable(), this); }
 };
+
+using fields::operator==;
+using fields::operator!=;
 
 /** Model outputs compared in Fig. 9. */
 struct Result {

@@ -1,8 +1,14 @@
 #include "serve/models.hh"
 
-#include <cassert>
+#include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <iterator>
 #include <memory>
+#include <optional>
 
+#include "base/fnv.hh"
+#include "base/logging.hh"
 #include "sim/session.hh"
 #include "systolic/generator.hh"
 
@@ -11,28 +17,32 @@ namespace serve {
 
 namespace {
 
-uint64_t
-fnv1a(uint64_t h, uint64_t v)
+bool
+fail(std::string *err, std::string message)
 {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    *err = std::move(message);
+    return false;
 }
 
-bool
-dataflowFromName(const std::string &name, scalesim::Dataflow *out)
+const char *const kModelNames[] = {"systolic", "soc", "pipeline"};
+
+/** The config that @p key's kind selects, with its field table. */
+struct Active {
+    const fields::Table &table;
+    void *cfg;
+};
+
+Active
+active(const ModelKey &key)
 {
-    if (name == "WS")
-        *out = scalesim::Dataflow::WS;
-    else if (name == "IS")
-        *out = scalesim::Dataflow::IS;
-    else if (name == "OS")
-        *out = scalesim::Dataflow::OS;
-    else
-        return false;
-    return true;
+    auto &k = const_cast<ModelKey &>(key);
+    switch (key.kind) {
+    case ModelKind::Soc: return {soc::SocConfig::fieldTable(), &k.soc};
+    case ModelKind::Pipeline:
+        return {soc::PipelineConfig::fieldTable(), &k.pipeline};
+    case ModelKind::Systolic: break;
+    }
+    return {scalesim::Config::fieldTable(), &k.systolic};
 }
 
 } // namespace
@@ -43,78 +53,59 @@ dataflowFromName(const std::string &name, scalesim::Dataflow *out)
 const char *
 modelName(ModelKind kind)
 {
-    switch (kind) {
-    case ModelKind::Systolic: return "systolic";
-    case ModelKind::Soc: return "soc";
-    case ModelKind::Pipeline: return "pipeline";
-    }
-    return "?";
+    size_t i = size_t(kind);
+    return i < std::size(kModelNames) ? kModelNames[i] : "?";
 }
 
 bool
 modelFromName(const std::string &name, ModelKind *out)
 {
-    if (name == "systolic")
-        *out = ModelKind::Systolic;
-    else if (name == "soc")
-        *out = ModelKind::Soc;
-    else if (name == "pipeline")
-        *out = ModelKind::Pipeline;
-    else
-        return false;
-    return true;
+    for (size_t i = 0; i < std::size(kModelNames); ++i) {
+        if (name == kModelNames[i]) {
+            *out = ModelKind(i);
+            return true;
+        }
+    }
+    return false;
 }
 
 ModelKey
 ModelKey::systolicKey(const scalesim::Config &cfg)
 {
-    ModelKey k;
-    k.kind = ModelKind::Systolic;
-    k.systolic = cfg;
-    return k;
+    return {ModelKind::Systolic, cfg, {}, {}};
 }
 
 ModelKey
 ModelKey::socKey(const soc::SocConfig &cfg)
 {
-    ModelKey k;
-    k.kind = ModelKind::Soc;
-    k.soc = cfg;
-    return k;
+    return {ModelKind::Soc, {}, cfg, {}};
 }
 
 ModelKey
 ModelKey::pipelineKey(const soc::PipelineConfig &cfg)
 {
-    ModelKey k;
-    k.kind = ModelKind::Pipeline;
-    k.pipeline = cfg;
-    return k;
+    return {ModelKind::Pipeline, {}, {}, cfg};
 }
 
 uint64_t
 ModelKey::hash() const
 {
-    uint64_t h = fnv1a(0xcbf29ce484222325ull, uint64_t(kind));
-    switch (kind) {
-    case ModelKind::Systolic: return fnv1a(h, systolic.hash());
-    case ModelKind::Soc: return fnv1a(h, soc.hash());
-    case ModelKind::Pipeline: return fnv1a(h, pipeline.hash());
-    }
-    return h;
+    Active a = active(*this);
+    return fields::hash(a.table, a.cfg, fnv1a(kFnvOffset, uint64_t(kind)));
 }
 
 bool
 ModelKey::operator==(const ModelKey &o) const
 {
-    if (kind != o.kind)
-        return false;
-    switch (kind) {
-    case ModelKind::Systolic: return systolic == o.systolic;
-    case ModelKind::Soc: return soc == o.soc;
-    case ModelKind::Pipeline: return pipeline == o.pipeline;
-    }
-    return false;
+    Active a = active(*this);
+    return kind == o.kind && fields::equal(a.table, a.cfg, active(o).cfg);
+}
+
+bool
+ModelKey::validate(std::string *err) const
+{
+    Active a = active(*this);
+    return fields::validate(a.table, a.cfg, err);
 }
 
 ir::OwningOpRef
@@ -133,96 +124,91 @@ ModelKey::build(ir::Context &ctx) const
 ModelKey
 defaultKey(ModelKind kind)
 {
-    ModelKey k;
-    k.kind = kind;
-    return k; // default-constructed configs are each family's default
+    return {kind, {}, {}, {}}; // each config's defaults are its family's
 }
 
 // ---------------------------------------------------------------------------
-// Config <-> JSON
+// Config <-> JSON, derived from the field tables
+
+namespace {
 
 Json
-modelKeyToJson(const ModelKey &key)
+recordToJson(const fields::Table &t, const void *rec)
 {
     Json out = Json::object();
-    switch (key.kind) {
-    case ModelKind::Systolic: {
-        const auto &c = key.systolic;
-        out.set("ah", c.ah);
-        out.set("aw", c.aw);
-        out.set("df", scalesim::dataflowName(c.dataflow));
-        out.set("c", c.c);
-        out.set("h", c.h);
-        out.set("w", c.w);
-        out.set("n", c.n);
-        out.set("fh", c.fh);
-        out.set("fw", c.fw);
-        out.set("elem_bytes", c.elemBytes);
-        break;
-    }
-    case ModelKind::Soc: {
-        const auto &c = key.soc;
-        Json accels = Json::array();
-        for (const auto &t : c.accels) {
-            Json a = Json::object();
-            a.set("ah", t.ah);
-            a.set("aw", t.aw);
-            a.set("df", scalesim::dataflowName(t.dataflow));
-            a.set("link_bw", t.linkBytesPerCycle);
-            accels.push(std::move(a));
+    for (const fields::Field &f : t.fields) {
+        int64_t v = f.get(rec);
+        if (f.kind == fields::Kind::Int) {
+            out.set(f.name, v);
+        } else if (f.kind == fields::Kind::Enum) {
+            out.set(f.name, v >= 0 && v <= f.hi ? f.spellings[v] : "?");
+        } else {
+            Json items = Json::array();
+            for (int64_t i = 0; i < v; ++i)
+                items.push(recordToJson(*f.elem, f.at(rec, size_t(i))));
+            out.set(f.name, std::move(items));
         }
-        out.set("accels", std::move(accels));
-        out.set("bus_bw", c.busBytesPerCycle);
-        out.set("bus_kind", c.busKind);
-        out.set("sram_banks", int64_t(c.sramBanks));
-        out.set("dmas", c.dmaEngines);
-        out.set("rounds", c.rounds);
-        out.set("steps", c.steps);
-        out.set("elem_bytes", c.elemBytes);
-        break;
-    }
-    case ModelKind::Pipeline: {
-        const auto &c = key.pipeline;
-        out.set("stages", c.stages);
-        out.set("batches", c.batches);
-        out.set("tile_elems", c.tileElems);
-        out.set("compute", c.computePerElem);
-        out.set("dma_bw", c.dmaBytesPerCycle);
-        out.set("hop_bw", c.hopBytesPerCycle);
-        out.set("elem_bytes", c.elemBytes);
-        break;
-    }
     }
     return out;
 }
 
-namespace {
-
+/** Override @p rec's fields present in @p obj. Every value is range
+ *  checked before it is stored, so nothing narrows or wraps. */
 bool
-wantInt(const Json &v, const std::string &field, int64_t *out,
-        std::string *err)
+recordFromJson(const fields::Table &t, const Json &obj, void *rec,
+               const std::string &path, std::string *err)
 {
-    if (!v.isNumber() || !v.isInt()) {
-        *err = "config field '" + field + "' must be an integer";
-        return false;
-    }
-    *out = v.asInt();
-    return true;
-}
-
-bool
-wantDataflow(const Json &v, const std::string &field,
-             scalesim::Dataflow *out, std::string *err)
-{
-    if (!v.isStr() || !dataflowFromName(v.asStr(), out)) {
-        *err = "config field '" + field + "' must be \"WS\", \"IS\" "
-               "or \"OS\"";
-        return false;
+    for (const auto &m : obj.members()) {
+        const fields::Field *f = fields::find(t, m.first);
+        if (!f)
+            return fail(err, "unknown " + std::string(t.what) +
+                                 " config field '" + path + m.first + "'");
+        const Json &v = m.second;
+        auto bad = [&](const std::string &what) {
+            return fail(err, fields::fieldError(t, path, f->name) + what);
+        };
+        int64_t i = 0;
+        if (f->kind == fields::Kind::Int) {
+            if (!v.isInt())
+                return bad(" must be an integer");
+            i = v.asInt();
+        } else if (f->kind == fields::Kind::Enum) {
+            while (v.isStr() && i <= f->hi && v.asStr() != f->spellings[i])
+                ++i;
+            if (!v.isStr() || i > f->hi)
+                return bad(" must be " + fields::expected(*f) + " (got " +
+                           v.dump() + ")");
+        } else {
+            if (!v.isArray())
+                return bad(" must be an array");
+            i = int64_t(v.items().size());
+        }
+        if (!fields::inRange(t, *f, i, path, err))
+            return false;
+        f->set(rec, i);
+        for (int64_t k = 0; f->kind == fields::Kind::List && k < i; ++k) {
+            const std::string at =
+                path + f->name + "[" + std::to_string(k) + "]";
+            const Json &item = v.items()[size_t(k)];
+            if (!item.isObject())
+                return fail(err, fields::fieldError(t, "", at.c_str()) +
+                                     " must be an object");
+            if (!recordFromJson(*f->elem, item, f->at(rec, size_t(k)),
+                                at + ".", err))
+                return false;
+        }
     }
     return true;
 }
 
 } // namespace
+
+Json
+modelKeyToJson(const ModelKey &key)
+{
+    Active a = active(key);
+    return recordToJson(a.table, a.cfg);
+}
 
 bool
 modelKeyFromJson(ModelKind kind, const Json &config, ModelKey *out,
@@ -231,148 +217,11 @@ modelKeyFromJson(ModelKind kind, const Json &config, ModelKey *out,
     *out = defaultKey(kind);
     if (config.isNull())
         return true; // omitted config: the family default
-    if (!config.isObject()) {
-        *err = "\"config\" must be an object";
-        return false;
-    }
-    for (const auto &m : config.members()) {
-        const std::string &f = m.first;
-        const Json &v = m.second;
-        int64_t i = 0;
-        switch (kind) {
-        case ModelKind::Systolic: {
-            auto &c = out->systolic;
-            if (f == "df") {
-                if (!wantDataflow(v, f, &c.dataflow, err))
-                    return false;
-                continue;
-            }
-            int *target = nullptr;
-            if (f == "ah")
-                target = &c.ah;
-            else if (f == "aw")
-                target = &c.aw;
-            else if (f == "c")
-                target = &c.c;
-            else if (f == "h")
-                target = &c.h;
-            else if (f == "w")
-                target = &c.w;
-            else if (f == "n")
-                target = &c.n;
-            else if (f == "fh")
-                target = &c.fh;
-            else if (f == "fw")
-                target = &c.fw;
-            else if (f == "elem_bytes")
-                target = &c.elemBytes;
-            if (!target) {
-                *err = "unknown systolic config field '" + f + "'";
-                return false;
-            }
-            if (!wantInt(v, f, &i, err))
-                return false;
-            *target = static_cast<int>(i);
-            continue;
-        }
-        case ModelKind::Soc: {
-            auto &c = out->soc;
-            if (f == "accels") {
-                if (!v.isArray()) {
-                    *err = "config field 'accels' must be an array";
-                    return false;
-                }
-                c.accels.clear();
-                for (const Json &aj : v.items()) {
-                    if (!aj.isObject()) {
-                        *err = "accel entries must be objects";
-                        return false;
-                    }
-                    soc::TileSpec t;
-                    for (const auto &am : aj.members()) {
-                        if (am.first == "ah" || am.first == "aw") {
-                            if (!wantInt(am.second, am.first, &i, err))
-                                return false;
-                            (am.first == "ah" ? t.ah : t.aw) =
-                                static_cast<int>(i);
-                        } else if (am.first == "df") {
-                            if (!wantDataflow(am.second, am.first,
-                                              &t.dataflow, err))
-                                return false;
-                        } else if (am.first == "link_bw") {
-                            if (!wantInt(am.second, am.first, &i, err))
-                                return false;
-                            t.linkBytesPerCycle = i;
-                        } else {
-                            *err = "unknown accel field '" + am.first +
-                                   "'";
-                            return false;
-                        }
-                    }
-                    c.accels.push_back(t);
-                }
-                continue;
-            }
-            if (f == "bus_kind") {
-                if (!v.isStr() || (v.asStr() != "Streaming" &&
-                                   v.asStr() != "Window")) {
-                    *err = "config field 'bus_kind' must be "
-                           "\"Streaming\" or \"Window\"";
-                    return false;
-                }
-                c.busKind = v.asStr();
-                continue;
-            }
-            if (f == "bus_bw" || f == "sram_banks" || f == "dmas" ||
-                f == "rounds" || f == "steps" || f == "elem_bytes") {
-                if (!wantInt(v, f, &i, err))
-                    return false;
-                if (f == "bus_bw")
-                    c.busBytesPerCycle = i;
-                else if (f == "sram_banks")
-                    c.sramBanks = static_cast<unsigned>(i);
-                else if (f == "dmas")
-                    c.dmaEngines = static_cast<int>(i);
-                else if (f == "rounds")
-                    c.rounds = static_cast<int>(i);
-                else if (f == "steps")
-                    c.steps = static_cast<int>(i);
-                else
-                    c.elemBytes = i;
-                continue;
-            }
-            *err = "unknown soc config field '" + f + "'";
-            return false;
-        }
-        case ModelKind::Pipeline: {
-            auto &c = out->pipeline;
-            if (f == "stages" || f == "batches" || f == "tile_elems" ||
-                f == "compute" || f == "dma_bw" || f == "hop_bw" ||
-                f == "elem_bytes") {
-                if (!wantInt(v, f, &i, err))
-                    return false;
-                if (f == "stages")
-                    c.stages = static_cast<int>(i);
-                else if (f == "batches")
-                    c.batches = static_cast<int>(i);
-                else if (f == "tile_elems")
-                    c.tileElems = i;
-                else if (f == "compute")
-                    c.computePerElem = static_cast<int>(i);
-                else if (f == "dma_bw")
-                    c.dmaBytesPerCycle = i;
-                else if (f == "hop_bw")
-                    c.hopBytesPerCycle = i;
-                else
-                    c.elemBytes = i;
-                continue;
-            }
-            *err = "unknown pipeline config field '" + f + "'";
-            return false;
-        }
-        }
-    }
-    return true;
+    if (!config.isObject())
+        return fail(err, "\"config\" must be an object");
+    Active a = active(*out);
+    return recordFromJson(a.table, config, a.cfg, "", err) &&
+           out->validate(err);
 }
 
 // ---------------------------------------------------------------------------
@@ -382,118 +231,34 @@ bool
 applyAxis(ModelKey *key, const std::string &axis, int64_t value,
           std::string *err)
 {
-    switch (key->kind) {
-    case ModelKind::Systolic: {
-        auto &c = key->systolic;
-        if (axis == "ah")
-            c.ah = static_cast<int>(value);
-        else if (axis == "aw")
-            c.aw = static_cast<int>(value);
-        else if (axis == "hw")
-            c.h = c.w = static_cast<int>(value);
-        else if (axis == "h")
-            c.h = static_cast<int>(value);
-        else if (axis == "w")
-            c.w = static_cast<int>(value);
-        else if (axis == "c")
-            c.c = static_cast<int>(value);
-        else if (axis == "n")
-            c.n = static_cast<int>(value);
-        else if (axis == "f")
-            c.fh = c.fw = static_cast<int>(value);
-        else if (axis == "fh")
-            c.fh = static_cast<int>(value);
-        else if (axis == "fw")
-            c.fw = static_cast<int>(value);
-        else if (axis == "df") {
-            if (value < 0 || value > 2) {
-                if (err)
-                    *err = "axis 'df' takes 0 (WS), 1 (IS) or 2 (OS)";
-                return false;
-            }
-            c.dataflow = value == 0   ? scalesim::Dataflow::WS
-                         : value == 1 ? scalesim::Dataflow::IS
-                                      : scalesim::Dataflow::OS;
-        }
-        else if (axis == "elem_bytes")
-            c.elemBytes = static_cast<int>(value);
-        else {
-            if (err)
-                *err = "unknown systolic axis '" + axis + "'";
-            return false;
-        }
-        return true;
-    }
-    case ModelKind::Soc: {
-        auto &c = key->soc;
-        if (axis == "tiles") {
-            if (value < 1) {
-                if (err)
-                    *err = "axis 'tiles' must be >= 1";
-                return false;
-            }
-            // The fig_soc_contention convention: N alternating WS/OS
-            // 2x2 tiles on 8 B/cyc private links.
-            c.accels.clear();
-            for (int64_t a = 0; a < value; ++a) {
-                soc::TileSpec t;
-                t.ah = t.aw = 2;
-                t.dataflow = (a % 2 == 0) ? scalesim::Dataflow::WS
-                                          : scalesim::Dataflow::OS;
-                t.linkBytesPerCycle = 8;
-                c.accels.push_back(t);
-            }
-        }
-        else if (axis == "dmas")
-            c.dmaEngines = static_cast<int>(value);
-        else if (axis == "bus_bw")
-            c.busBytesPerCycle = value;
-        else if (axis == "rounds")
-            c.rounds = static_cast<int>(value);
-        else if (axis == "steps")
-            c.steps = static_cast<int>(value);
-        else if (axis == "sram_banks")
-            c.sramBanks = static_cast<unsigned>(value);
-        else if (axis == "elem_bytes")
-            c.elemBytes = value;
-        else {
-            if (err)
-                *err = "unknown soc axis '" + axis + "'";
-            return false;
-        }
-        return true;
-    }
-    case ModelKind::Pipeline: {
-        auto &c = key->pipeline;
-        if (axis == "stages")
-            c.stages = static_cast<int>(value);
-        else if (axis == "batches")
-            c.batches = static_cast<int>(value);
-        else if (axis == "tile_elems")
-            c.tileElems = value;
-        else if (axis == "compute")
-            c.computePerElem = static_cast<int>(value);
-        else if (axis == "dma_bw")
-            c.dmaBytesPerCycle = value;
-        else if (axis == "hop_bw")
-            c.hopBytesPerCycle = value;
-        else if (axis == "elem_bytes")
-            c.elemBytes = value;
-        else {
-            if (err)
-                *err = "unknown pipeline axis '" + axis + "'";
-            return false;
-        }
-        return true;
-    }
-    }
-    if (err)
-        *err = "bad model kind";
-    return false;
+    Active a = active(*key);
+    return fields::applyAxis(a.table, a.cfg, axis, value, err);
 }
 
 // ---------------------------------------------------------------------------
 // SweepSpec
+
+bool
+parseAxis(const std::string &text, SweepAxis *out)
+{
+    size_t eq = text.find('=');
+    if (eq == std::string::npos || eq == 0)
+        return false;
+    out->name = text.substr(0, eq);
+    out->values.clear();
+    for (size_t pos = eq + 1; pos <= text.size();) {
+        size_t end = std::min(text.find(',', pos), text.size());
+        const std::string item = text.substr(pos, end - pos);
+        char *endp = nullptr;
+        errno = 0;
+        long long v = std::strtoll(item.c_str(), &endp, 10);
+        if (item.empty() || *endp != '\0' || errno == ERANGE)
+            return false;
+        out->values.push_back(v);
+        pos = end + 1;
+    }
+    return true;
+}
 
 sweep::Grid
 SweepSpec::grid() const
@@ -507,29 +272,27 @@ SweepSpec::grid() const
 std::vector<sweep::Column>
 SweepSpec::schema() const
 {
+    using sweep::ValueKind;
+    // Per family: cycles, ops, then the family's traffic columns.
+    static const std::vector<sweep::Column> kMetrics[] = {
+        {{"cycles", ValueKind::Int, 12, 0},
+         {"ops", ValueKind::Int, 12, 0},
+         {"sram_rd_B", ValueKind::Int, 10, 0},
+         {"sram_wr_B", ValueKind::Int, 10, 0}},
+        {{"cycles", ValueKind::Int, 10, 0},
+         {"ops", ValueKind::Int, 12, 0},
+         {"bus_rd_B", ValueKind::Int, 10, 0},
+         {"bus_wr_B", ValueKind::Int, 10, 0},
+         {"bus_peak", ValueKind::Real, 9, 3}},
+        {{"cycles", ValueKind::Int, 10, 0},
+         {"ops", ValueKind::Int, 12, 0},
+         {"conn_wr_B", ValueKind::Int, 10, 0}},
+    };
     std::vector<sweep::Column> cols;
     for (const auto &a : axes)
-        cols.push_back({a.name, sweep::ValueKind::Int, 6, 0});
-    switch (base.kind) {
-    case ModelKind::Systolic:
-        cols.push_back({"cycles", sweep::ValueKind::Int, 12, 0});
-        cols.push_back({"ops", sweep::ValueKind::Int, 12, 0});
-        cols.push_back({"sram_rd_B", sweep::ValueKind::Int, 10, 0});
-        cols.push_back({"sram_wr_B", sweep::ValueKind::Int, 10, 0});
-        break;
-    case ModelKind::Soc:
-        cols.push_back({"cycles", sweep::ValueKind::Int, 10, 0});
-        cols.push_back({"ops", sweep::ValueKind::Int, 12, 0});
-        cols.push_back({"bus_rd_B", sweep::ValueKind::Int, 10, 0});
-        cols.push_back({"bus_wr_B", sweep::ValueKind::Int, 10, 0});
-        cols.push_back({"bus_peak", sweep::ValueKind::Real, 9, 3});
-        break;
-    case ModelKind::Pipeline:
-        cols.push_back({"cycles", sweep::ValueKind::Int, 10, 0});
-        cols.push_back({"ops", sweep::ValueKind::Int, 12, 0});
-        cols.push_back({"conn_wr_B", sweep::ValueKind::Int, 10, 0});
-        break;
-    }
+        cols.push_back({a.name, ValueKind::Int, 6, 0});
+    const auto &metrics = kMetrics[size_t(base.kind)];
+    cols.insert(cols.end(), metrics.begin(), metrics.end());
     return cols;
 }
 
@@ -537,12 +300,10 @@ ModelKey
 SweepSpec::keyAt(const sweep::Point &point) const
 {
     ModelKey key = base;
-    for (const auto &a : axes) {
-        std::string err;
-        bool ok = applyAxis(&key, a.name, point.at(a.name), &err);
-        assert(ok && "SweepSpec::keyAt on unvalidated spec");
-        (void)ok;
-    }
+    std::string err;
+    for (const auto &a : axes)
+        eq_assert(applyAxis(&key, a.name, point.at(a.name), &err),
+                  "SweepSpec::keyAt on an unvalidated spec: ", err);
     return key;
 }
 
@@ -553,6 +314,8 @@ SweepSpec::row(const sweep::Point &point,
     std::vector<sweep::Cell> cells;
     for (const auto &a : axes)
         cells.push_back(point.at(a.name));
+    cells.push_back(static_cast<int64_t>(report.cycles));
+    cells.push_back(static_cast<int64_t>(report.opsExecuted));
     switch (base.kind) {
     case ModelKind::Systolic: {
         int64_t rd = 0, wr = 0;
@@ -562,8 +325,6 @@ SweepSpec::row(const sweep::Point &point,
                 wr += m.bytesWritten;
             }
         }
-        cells.push_back(static_cast<int64_t>(report.cycles));
-        cells.push_back(static_cast<int64_t>(report.opsExecuted));
         cells.push_back(rd);
         cells.push_back(wr);
         break;
@@ -578,8 +339,6 @@ SweepSpec::row(const sweep::Point &point,
             wr = bus.writeBytes;
             peak = bus.maxBwPortionRead + bus.maxBwPortionWrite;
         }
-        cells.push_back(static_cast<int64_t>(report.cycles));
-        cells.push_back(static_cast<int64_t>(report.opsExecuted));
         cells.push_back(rd);
         cells.push_back(wr);
         cells.push_back(peak);
@@ -589,8 +348,6 @@ SweepSpec::row(const sweep::Point &point,
         int64_t wr = 0;
         for (const auto &conn : report.connections)
             wr += conn.writeBytes;
-        cells.push_back(static_cast<int64_t>(report.cycles));
-        cells.push_back(static_cast<int64_t>(report.opsExecuted));
         cells.push_back(wr);
         break;
     }
@@ -601,22 +358,34 @@ SweepSpec::row(const sweep::Point &point,
 bool
 SweepSpec::validate(std::string *err) const
 {
-    if (axes.empty()) {
-        if (err)
-            *err = "sweep needs at least one axis";
-        return false;
-    }
-    for (const auto &a : axes) {
-        if (a.values.empty()) {
-            if (err)
-                *err = "axis '" + a.name + "' has no values";
-            return false;
-        }
+    if (axes.empty())
+        return fail(err, "sweep needs at least one axis");
+    uint64_t points = 1;
+    for (size_t i = 0; i < axes.size(); ++i) {
+        const SweepAxis &a = axes[i];
+        for (size_t j = 0; j < i; ++j)
+            if (axes[j].name == a.name)
+                return fail(err, "axis '" + a.name + "' is declared twice");
+        if (a.values.empty())
+            return fail(err, "axis '" + a.name + "' has no values");
+        if (a.values.size() > kMaxPoints / points)
+            return fail(err, "sweep grid exceeds " +
+                                 std::to_string(kMaxPoints) + " points");
+        points *= a.values.size();
         for (int64_t v : a.values) {
             ModelKey probe = base;
             if (!applyAxis(&probe, a.name, v, err))
                 return false;
         }
+    }
+    // Every axis value is in range on its own; combinations must still
+    // satisfy the cross-field rules (e.g. fh <= h).
+    sweep::Grid g = grid();
+    for (const sweep::Point &p : g.points()) {
+        std::string why;
+        if (!keyAt(p).validate(&why))
+            return fail(err, "sweep point " + std::to_string(p.index()) +
+                                 ": " + why);
     }
     return true;
 }
@@ -661,42 +430,30 @@ SweepSpec::fromJson(const Json &request, SweepSpec *out,
                     std::string *err)
 {
     ModelKind kind;
-    if (!modelFromName(request.getStr("model", ""), &kind)) {
-        *err = "unknown or missing \"model\"";
-        return false;
-    }
+    if (!modelFromName(request.getStr("model", ""), &kind))
+        return fail(err, "unknown or missing \"model\"");
     const Json *config = request.find("config");
     if (!modelKeyFromJson(kind, config ? *config : Json(), &out->base,
                           err))
         return false;
     out->axes.clear();
     const Json *jaxes = request.find("axes");
-    if (!jaxes || !jaxes->isArray()) {
-        *err = "sweep request needs an \"axes\" array";
-        return false;
-    }
+    if (!jaxes || !jaxes->isArray())
+        return fail(err, "sweep request needs an \"axes\" array");
     for (const Json &ja : jaxes->items()) {
-        if (!ja.isObject()) {
-            *err = "axis entries must be objects";
-            return false;
-        }
+        if (!ja.isObject())
+            return fail(err, "axis entries must be objects");
         SweepAxis axis;
         axis.name = ja.getStr("name", "");
-        if (axis.name.empty()) {
-            *err = "axis entry missing \"name\"";
-            return false;
-        }
+        if (axis.name.empty())
+            return fail(err, "axis entry missing \"name\"");
         const Json *vals = ja.find("values");
-        if (!vals || !vals->isArray()) {
-            *err = "axis '" + axis.name + "' missing \"values\"";
-            return false;
-        }
+        if (!vals || !vals->isArray())
+            return fail(err, "axis '" + axis.name + "' missing \"values\"");
         for (const Json &v : vals->items()) {
-            if (!v.isInt()) {
-                *err = "axis '" + axis.name +
-                       "' values must be integers";
-                return false;
-            }
+            if (!v.isInt())
+                return fail(err, "axis '" + axis.name +
+                                     "' values must be integers");
             axis.values.push_back(v.asInt());
         }
         out->axes.push_back(std::move(axis));
@@ -711,42 +468,14 @@ sweep::Table
 runLocalSweep(const SweepSpec &spec, unsigned threads,
               sim::EngineOptions engine)
 {
+    // Without a journal or cache path there is nothing to fail on.
     sweep::Grid g = spec.grid();
-    auto points = g.points();
-    sweep::RunnerOptions ropts;
-    ropts.threads = threads;
-    sweep::SweepRunner runner(ropts);
-
-    // One Session per worker, rebuilt only when the point's structural
-    // key changes — the same build-cache-run path the daemon's
-    // ProgramCache entries use.
-    struct Worker {
-        explicit Worker(sim::EngineOptions opts) : session(opts) {}
-        sim::Session session;
-        ModelKey key;
-        bool hasKey = false;
-    };
-    std::vector<std::unique_ptr<Worker>> workers;
-    unsigned n = runner.threadsFor(points.size());
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers.push_back(std::make_unique<Worker>(engine));
-
-    return runner.run(
-        points, spec.schema(),
-        [&](const sweep::Point &p,
-            unsigned w) -> std::vector<sweep::Cell> {
-            Worker &worker = *workers[w];
-            ModelKey key = spec.keyAt(p);
-            if (!worker.hasKey || worker.key != key) {
-                worker.session.rebuild([&](ir::Context &ctx) {
-                    return key.build(ctx);
-                });
-                worker.key = key;
-                worker.hasKey = true;
-            }
-            return spec.row(p, worker.session.run());
-        });
+    sweep::Table table{spec.schema()};
+    std::string err;
+    sweep::JournalStatus status = runLocalSweepDurable(
+        spec, g.points(), threads, engine, {}, &table, nullptr, &err);
+    eq_assert(status == sweep::JournalStatus::Ok, err);
+    return table;
 }
 
 sweep::JournalStatus
@@ -759,37 +488,31 @@ runLocalSweepDurable(const SweepSpec &spec,
                      const std::function<void(const sweep::Point &)>
                          &on_point)
 {
-    sweep::RunnerOptions ropts;
-    ropts.threads = threads;
-    sweep::SweepRunner runner(ropts);
+    sweep::SweepRunner runner(sweep::RunnerOptions{threads});
 
-    // Same per-worker Session discipline as runLocalSweep — worker w
-    // only ever runs on one thread, so no locking.
+    // One Session per worker, rebuilt only when the point's structural
+    // key changes — the same build-cache-run path the daemon's
+    // ProgramCache entries use. Worker w only ever runs on one thread,
+    // so no locking.
     struct Worker {
         explicit Worker(sim::EngineOptions opts) : session(opts) {}
         sim::Session session;
-        ModelKey key;
-        bool hasKey = false;
+        std::optional<ModelKey> key;
     };
     std::vector<std::unique_ptr<Worker>> workers;
-    unsigned n = runner.threadsFor(points.size());
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
+    for (unsigned i = 0; i < runner.threadsFor(points.size()); ++i)
         workers.push_back(std::make_unique<Worker>(engine));
 
     return sweep::runJournaledSweep(
         runner, points, spec.schema(),
         [&](const sweep::Point &p) { return spec.pointKey(p); },
-        [&](const sweep::Point &p,
-            unsigned w) -> std::vector<sweep::Cell> {
+        [&](const sweep::Point &p, unsigned w) {
             Worker &worker = *workers[w];
             ModelKey key = spec.keyAt(p);
-            if (!worker.hasKey || worker.key != key) {
-                worker.session.rebuild([&](ir::Context &ctx) {
-                    return key.build(ctx);
-                });
+            if (!worker.key || *worker.key != key) {
+                worker.session.rebuild(
+                    [&](ir::Context &ctx) { return key.build(ctx); });
                 worker.key = key;
-                worker.hasKey = true;
             }
             std::vector<sweep::Cell> cells =
                 spec.row(p, worker.session.run());

@@ -61,12 +61,16 @@ struct ModelKey {
     static ModelKey socKey(const soc::SocConfig &cfg);
     static ModelKey pipelineKey(const soc::PipelineConfig &cfg);
 
-    /** FNV-1a over kind + the active config's structural hash. */
+    /** FNV-1a over kind + the active config's fields. */
     uint64_t hash() const;
 
-    /** Full structural equality (kind + active config operator==). */
+    /** Full structural equality (kind + the active config's fields). */
     bool operator==(const ModelKey &o) const;
     bool operator!=(const ModelKey &o) const { return !(*this == o); }
+
+    /** Every field of the active config in range (then the key builds
+     *  and simulates); else false with an error naming the field. */
+    bool validate(std::string *err) const;
 
     /** Build the family's module for this config. */
     ir::OwningOpRef build(ir::Context &ctx) const;
@@ -76,23 +80,19 @@ struct ModelKey {
  *  fields fall back to). */
 ModelKey defaultKey(ModelKind kind);
 
-/** Config <-> JSON. toJson dumps every structural field; fromJson
- *  starts from defaultKey(kind) and overrides the fields present in
- *  @p config (unknown fields are an error, so typos never silently
- *  simulate the default). */
+/** Config <-> JSON, derived from the family's field table. fromJson
+ *  starts from defaultKey(kind), overrides the fields present in
+ *  @p config and validates the result (unknown fields are an error, so
+ *  typos never silently simulate the default). */
 Json modelKeyToJson(const ModelKey &key);
 bool modelKeyFromJson(ModelKind kind, const Json &config, ModelKey *out,
                       std::string *err);
 
 /**
- * Apply one named sweep-axis value onto a key (e.g. "ah"=8 for
- * systolic, "tiles"=4 or "bus_bw"=16 for soc). Axis vocabulary:
- *   systolic: ah aw hw h w c n f fh fw df elem_bytes
- *   soc:      tiles dmas bus_bw rounds steps sram_banks elem_bytes
- *   pipeline: stages batches tile_elems compute dma_bw hop_bw
- *             elem_bytes
- * "tiles" resizes the SoC to N alternating WS/OS 2x2 tiles (the
- * fig_soc_contention convention). Returns false on an unknown axis.
+ * Apply one named sweep-axis value onto a key (e.g. "ah"=8, "tiles"=4).
+ * A family's axes are the integer and enum (by index: df 0/1/2) fields
+ * of its field table plus the composite axes beside it — see
+ * scalesim::Config, soc::SocConfig and soc::PipelineConfig ::fieldTable().
  */
 bool applyAxis(ModelKey *key, const std::string &axis, int64_t value,
                std::string *err);
@@ -103,9 +103,14 @@ struct SweepAxis {
     std::vector<int64_t> values;
 };
 
+/** Parse "name=v1,v2,..." (the --axis syntax of the command lines). */
+bool parseAxis(const std::string &text, SweepAxis *out);
+
 /** A serializable sweep: base config + axes (declaration order is the
  *  grid's axis order, so dense point indices match the nested loops). */
 struct SweepSpec {
+    static constexpr uint64_t kMaxPoints = 65536; ///< grid size bound
+
     ModelKey base;
     std::vector<SweepAxis> axes;
 
@@ -119,8 +124,8 @@ struct SweepSpec {
     std::vector<sweep::Column> schema() const;
 
     /** The structural key simulated at @p point: base + axis
-     *  overrides. Panics on axis names applyAxis rejects — specs must
-     *  be validated (validate()) before points are expanded. */
+     *  overrides. Panics on an axis applyAxis rejects — validate()
+     *  specs before points are expanded. */
     ModelKey keyAt(const sweep::Point &point) const;
 
     /** One result row for @p point (axis cells + metrics derived from
@@ -128,7 +133,8 @@ struct SweepSpec {
     std::vector<sweep::Cell> row(const sweep::Point &point,
                                  const sim::SimReport &report) const;
 
-    /** Check every axis name/value against the base key. */
+    /** Check the axes (distinct, non-empty, kMaxPoints at most, values
+     *  in range), then every point's key (naming point and field). */
     bool validate(std::string *err) const;
 
     /** Content key of @p point for the result cache: the model name

@@ -16,24 +16,14 @@ namespace {
 using ir::OpBuilder;
 using ir::Value;
 
-uint64_t
-fnv1a(uint64_t h, uint64_t v)
+/** An @p elems-cell buffer on @p mem, @p elemBytes per cell. */
+Value
+allocOn(OpBuilder &b, Value mem, int64_t elems, int64_t elemBytes)
 {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-uint64_t
-fnv1aStr(uint64_t h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return b
+        .create<equeue::AllocOp>(mem, std::vector<int64_t>{elems},
+                                 unsigned(elemBytes * 8))
+        ->result(0);
 }
 
 /** Per-PE register cells inside one tile. */
@@ -72,14 +62,6 @@ struct SocEmitter {
 
     SocEmitter(ir::Context &c, const SocConfig &cf) : ctx(c), b(c), cfg(cf)
     {}
-
-    Value
-    allocOn(Value mem, int64_t elems)
-    {
-        return b.create<equeue::AllocOp>(mem, std::vector<int64_t>{elems},
-                                         32u)
-            ->result(0);
-    }
 
     Value
     readCell(Value buf, Value conn = Value())
@@ -137,11 +119,11 @@ struct SocEmitter {
                                         std::vector<Value>{l1});
 
             int64_t pes = int64_t(ts.ah) * ts.aw;
-            t.stageSrc = allocOn(sram, pes);
-            t.stageDst = allocOn(l1, pes);
-            t.inHead = allocOn(sram, 1);
-            t.in2Head = allocOn(sram, 1);
-            t.outCell = allocOn(sram, 1);
+            t.stageSrc = allocOn(b, sram, pes, cfg.elemBytes);
+            t.stageDst = allocOn(b, l1, pes, cfg.elemBytes);
+            t.inHead = allocOn(b, sram, 1, cfg.elemBytes);
+            t.in2Head = allocOn(b, sram, 1, cfg.elemBytes);
+            t.outCell = allocOn(b, sram, 1, cfg.elemBytes);
 
             t.pe.assign(ts.ah, std::vector<Value>(ts.aw));
             t.regs.assign(ts.ah, std::vector<PeRegs>(ts.aw));
@@ -162,13 +144,13 @@ struct SocEmitter {
                             suffix,
                         std::vector<Value>{t.pe[h][w], rmem});
                     PeRegs &r = t.regs[h][w];
-                    r.inA = allocOn(rmem, 1);
-                    r.inB = allocOn(rmem, 1);
-                    r.acc = allocOn(rmem, 1);
-                    r.outA = allocOn(rmem, 1);
-                    r.outB = allocOn(rmem, 1);
-                    r.outAcc = allocOn(rmem, 1);
-                    r.stat = allocOn(rmem, 1);
+                    r.inA = allocOn(b, rmem, 1, cfg.elemBytes);
+                    r.inB = allocOn(b, rmem, 1, cfg.elemBytes);
+                    r.acc = allocOn(b, rmem, 1, cfg.elemBytes);
+                    r.outA = allocOn(b, rmem, 1, cfg.elemBytes);
+                    r.outB = allocOn(b, rmem, 1, cfg.elemBytes);
+                    r.outAcc = allocOn(b, rmem, 1, cfg.elemBytes);
+                    r.stat = allocOn(b, rmem, 1, cfg.elemBytes);
                 }
             }
         }
@@ -463,14 +445,6 @@ struct PipelineEmitter {
         : ctx(c), b(c), cfg(cf)
     {}
 
-    Value
-    allocOn(Value mem, int64_t elems)
-    {
-        return b.create<equeue::AllocOp>(mem, std::vector<int64_t>{elems},
-                                         32u)
-            ->result(0);
-    }
-
     void
     buildStructure(ir::Block *top)
     {
@@ -491,8 +465,8 @@ struct PipelineEmitter {
             std::string("SysSRAM DMA_IN DMA_OUT"),
             std::vector<Value>{sram, dmaIn, dmaOut});
 
-        src = allocOn(sram, cfg.tileElems);
-        dst = allocOn(sram, cfg.tileElems);
+        src = allocOn(b, sram, cfg.tileElems, cfg.elemBytes);
+        dst = allocOn(b, sram, cfg.tileElems, cfg.elemBytes);
 
         for (int s = 0; s < cfg.stages; ++s) {
             std::string pfx = "S" + std::to_string(s);
@@ -506,7 +480,7 @@ struct PipelineEmitter {
             b.create<equeue::AddCompOp>(
                 comp->result(0), pfx + " " + pfx + "_BUF",
                 std::vector<Value>{procs.back(), l1});
-            bufs.push_back(allocOn(l1, cfg.tileElems));
+            bufs.push_back(allocOn(b, l1, cfg.tileElems, cfg.elemBytes));
             hops.push_back(b.create<equeue::CreateConnectionOp>(
                                 std::string("Streaming"),
                                 cfg.hopBytesPerCycle)
@@ -518,7 +492,7 @@ struct PipelineEmitter {
                            ->result(0);
         b.create<equeue::AddCompOp>(comp->result(0), "OUT_BUF",
                                     std::vector<Value>{outMem});
-        bufs.push_back(allocOn(outMem, cfg.tileElems));
+        bufs.push_back(allocOn(b, outMem, cfg.tileElems, cfg.elemBytes));
     }
 
     /** Stage body: for each element, read the stage input buffer
@@ -605,55 +579,74 @@ struct PipelineEmitter {
     }
 };
 
+const char *const kBusKinds[] = {"Streaming", "Window"};
+
+// Every tile adds ah x aw PEs to the module; the counts and sizes bound
+// the simulated work per structure. Bandwidth 0 means unlimited.
+constexpr int64_t kMaxTileDim = 32, kMaxAccels = 64, kMaxCount = 4096;
+constexpr int64_t kMaxBw = int64_t(1) << 30;
+
+using fields::enumField;
+using fields::intField;
+
 } // namespace
 
-uint64_t
-SocConfig::hash() const
+const fields::Table &
+TileSpec::fieldTable()
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (const TileSpec &t : accels) {
-        h = fnv1a(h, uint64_t(t.ah));
-        h = fnv1a(h, uint64_t(t.aw));
-        h = fnv1a(h, uint64_t(t.dataflow));
-        h = fnv1a(h, uint64_t(t.linkBytesPerCycle));
-    }
-    h = fnv1a(h, uint64_t(busBytesPerCycle));
-    h = fnv1aStr(h, busKind);
-    h = fnv1a(h, sramBanks);
-    h = fnv1a(h, uint64_t(dmaEngines));
-    h = fnv1a(h, uint64_t(rounds));
-    h = fnv1a(h, uint64_t(steps));
-    h = fnv1a(h, uint64_t(elemBytes));
-    return h;
+    using T = TileSpec;
+    static const fields::Table table{
+        "soc",
+        {intField<&T::ah, 1, kMaxTileDim>("ah"),
+         intField<&T::aw, 1, kMaxTileDim>("aw"),
+         enumField<&T::dataflow, scalesim::kDataflowNames>("df"),
+         intField<&T::linkBytesPerCycle, 0, kMaxBw>("link_bw")}};
+    return table;
 }
 
-uint64_t
-PipelineConfig::hash() const
+const fields::Table &
+SocConfig::fieldTable()
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, uint64_t(stages));
-    h = fnv1a(h, uint64_t(batches));
-    h = fnv1a(h, uint64_t(tileElems));
-    h = fnv1a(h, uint64_t(computePerElem));
-    h = fnv1a(h, uint64_t(dmaBytesPerCycle));
-    h = fnv1a(h, uint64_t(hopBytesPerCycle));
-    h = fnv1a(h, uint64_t(elemBytes));
-    return h;
+    using S = SocConfig;
+    static const fields::Table table{
+        "soc",
+        {fields::listField<&S::accels, 1, kMaxAccels>(
+             "accels", TileSpec::fieldTable()),
+         intField<&S::busBytesPerCycle, 0, kMaxBw>("bus_bw"),
+         enumField<&S::busKind, kBusKinds>("bus_kind"),
+         intField<&S::sramBanks, 1, 1024>("sram_banks"),
+         intField<&S::dmaEngines, 1, 64>("dmas"),
+         intField<&S::rounds, 1, kMaxCount>("rounds"),
+         intField<&S::steps, 1, kMaxCount>("steps"),
+         intField<&S::elemBytes, 1, 8>("elem_bytes")},
+        // The fig_soc_contention convention: N alternating WS/OS 2x2
+        // tiles on 8 B/cyc private links.
+        {{"tiles", 1, kMaxAccels, [](void *r, int64_t v) {
+              auto &accels = static_cast<S *>(r)->accels;
+              accels.clear();
+              for (int64_t a = 0; a < v; ++a)
+                  accels.push_back({2, 2,
+                                    a % 2 ? scalesim::Dataflow::OS
+                                          : scalesim::Dataflow::WS,
+                                    8});
+          }}}};
+    return table;
 }
 
-SocConfig
-SocConfig::dualSharedBus()
+const fields::Table &
+PipelineConfig::fieldTable()
 {
-    SocConfig cfg;
-    cfg.accels = {TileSpec{2, 2, scalesim::Dataflow::WS, 8},
-                  TileSpec{2, 2, scalesim::Dataflow::WS, 8}};
-    cfg.busBytesPerCycle = 8;
-    cfg.busKind = "Streaming";
-    cfg.sramBanks = 4;
-    cfg.dmaEngines = 1;
-    cfg.rounds = 2;
-    cfg.steps = 4;
-    return cfg;
+    using P = PipelineConfig;
+    static const fields::Table table{
+        "pipeline",
+        {intField<&P::stages, 1, 256>("stages"),
+         intField<&P::batches, 1, kMaxCount>("batches"),
+         intField<&P::tileElems, 1, 65536>("tile_elems"),
+         intField<&P::computePerElem, 0, 256>("compute"),
+         intField<&P::dmaBytesPerCycle, 0, kMaxBw>("dma_bw"),
+         intField<&P::hopBytesPerCycle, 0, kMaxBw>("hop_bw"),
+         intField<&P::elemBytes, 1, 8>("elem_bytes")}};
+    return table;
 }
 
 SocConfig
@@ -665,16 +658,8 @@ SocConfig::heteroStarved()
     cfg.busBytesPerCycle = 4;
     cfg.busKind = "Window"; // exclusive locking: reads block writes
     cfg.sramBanks = 2;
-    cfg.dmaEngines = 1;
-    cfg.rounds = 2;
     cfg.steps = 3;
     return cfg;
-}
-
-PipelineConfig
-PipelineConfig::small()
-{
-    return PipelineConfig{};
 }
 
 SocTraffic

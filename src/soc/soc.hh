@@ -6,8 +6,8 @@
  * accelerator: several systolic arrays sharing one bus/DMA complex with
  * real contention, and GEMM-style layer pipelines chained through
  * on-chip buffers. Every family is a parameterized generator whose
- * config is value-comparable and hashable (mirroring scalesim::Config)
- * so sweep harnesses and worker caches can key on it.
+ * config is one field table (soc.cc; equality, hash and validation
+ * derive from it) so sweep harnesses and worker caches can key on it.
  *
  * Families:
  *   buildSocModule       N systolic tiles (WS/OS mix) behind one shared
@@ -38,11 +38,15 @@
 #include <string>
 #include <vector>
 
+#include "base/fields.hh"
 #include "ir/builder.hh"
 #include "scalesim/scalesim.hh"
 
 namespace eq {
 namespace soc {
+
+using fields::operator==;
+using fields::operator!=;
 
 /** One systolic tile on the shared bus. */
 struct TileSpec {
@@ -51,12 +55,7 @@ struct TileSpec {
     scalesim::Dataflow dataflow = scalesim::Dataflow::WS;
     int64_t linkBytesPerCycle = 8; ///< private link (preload/drain)
 
-    bool operator==(const TileSpec &o) const
-    {
-        return ah == o.ah && aw == o.aw && dataflow == o.dataflow &&
-               linkBytesPerCycle == o.linkBytesPerCycle;
-    }
-    bool operator!=(const TileSpec &o) const { return !(*this == o); }
+    static const fields::Table &fieldTable();
 };
 
 /** Shared-bus multi-accelerator SoC configuration. */
@@ -70,21 +69,13 @@ struct SocConfig {
     int steps = 4;                ///< systolic steps per round
     int64_t elemBytes = 4;
 
-    bool operator==(const SocConfig &o) const
-    {
-        return accels == o.accels &&
-               busBytesPerCycle == o.busBytesPerCycle &&
-               busKind == o.busKind && sramBanks == o.sramBanks &&
-               dmaEngines == o.dmaEngines && rounds == o.rounds &&
-               steps == o.steps && elemBytes == o.elemBytes;
-    }
-    bool operator!=(const SocConfig &o) const { return !(*this == o); }
+    /** The field table (soc.cc), with the "tiles" composite axis. */
+    static const fields::Table &fieldTable();
+    uint64_t hash() const { return fields::hash(fieldTable(), this); }
 
-    /** FNV-1a over every field; stable across runs for cache keying. */
-    uint64_t hash() const;
-
-    /** Two identical WS tiles contending for one bus + one DMA. */
-    static SocConfig dualSharedBus();
+    /** Two identical WS tiles contending for one bus + one DMA (the
+     *  family defaults). */
+    static SocConfig dualSharedBus() { return {}; }
     /** WS + OS mix behind a narrow Window bus, few banks, one DMA. */
     static SocConfig heteroStarved();
 };
@@ -99,23 +90,10 @@ struct PipelineConfig {
     int64_t hopBytesPerCycle = 4; ///< stage-to-stage hop bandwidth
     int64_t elemBytes = 4;
 
-    bool operator==(const PipelineConfig &o) const
-    {
-        return stages == o.stages && batches == o.batches &&
-               tileElems == o.tileElems &&
-               computePerElem == o.computePerElem &&
-               dmaBytesPerCycle == o.dmaBytesPerCycle &&
-               hopBytesPerCycle == o.hopBytesPerCycle &&
-               elemBytes == o.elemBytes;
-    }
-    bool operator!=(const PipelineConfig &o) const
-    {
-        return !(*this == o);
-    }
+    static const fields::Table &fieldTable();
+    uint64_t hash() const { return fields::hash(fieldTable(), this); }
 
-    uint64_t hash() const;
-
-    static PipelineConfig small();
+    static PipelineConfig small() { return {}; }
 };
 
 /** Exact per-connection byte counts for a SocConfig run. */

@@ -14,9 +14,10 @@
  *
  * Failures speak the journal's structured vocabulary on stderr —
  *   eqsweep: error: {"code":"journal_header_mismatch","message":...}
- * — and the exit code mirrors it: 0 ok, 1 I/O, 2 usage, 3 header
- * mismatch, 4 corrupt journal, 5 incomplete merge. Dispatch scripts
- * branch on these, never on prose.
+ * — and the exit code mirrors it: 0 ok, 1 I/O, 2 usage or bad_request
+ * (a spec, config or axis that fails validation; the message names the
+ * field), 3 header mismatch, 4 corrupt journal, 5 incomplete merge.
+ * Dispatch scripts branch on these, never on prose.
  */
 
 #include <cstdio>
@@ -102,34 +103,6 @@ refuse(sweep::JournalStatus status, const std::string &message)
     return exitCodeFor(status);
 }
 
-/** "name=v1,v2,..." -> SweepAxis. */
-bool
-parseAxis(const std::string &text, serve::SweepAxis *out)
-{
-    size_t eq = text.find('=');
-    if (eq == std::string::npos || eq == 0)
-        return false;
-    out->name = text.substr(0, eq);
-    out->values.clear();
-    size_t pos = eq + 1;
-    while (pos <= text.size()) {
-        size_t comma = text.find(',', pos);
-        size_t end = comma == std::string::npos ? text.size() : comma;
-        if (end == pos)
-            return false;
-        const std::string item = text.substr(pos, end - pos);
-        char *endp = nullptr;
-        long v = std::strtol(item.c_str(), &endp, 10);
-        if (endp == item.c_str() || *endp != '\0')
-            return false;
-        out->values.push_back(v);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return !out->values.empty();
-}
-
 int
 emitTable(const sweep::Table &table, const std::string &csv_path)
 {
@@ -171,40 +144,41 @@ struct Args {
     std::string csvPath;
 };
 
-/** Build the spec from --spec or --model/--config/--axis. */
-bool
-buildSpec(const Args &args, serve::SweepSpec *spec, std::string *err)
+/** Build the spec from --spec or --model/--config/--axis. On failure,
+ *  print the structured error and return the exit code: an unreadable
+ *  spec file is I/O, anything wrong with its content a bad request. */
+int
+buildSpec(const Args &args, serve::SweepSpec *spec)
 {
     serve::Json request;
+    std::string err;
+    auto badRequest = [&](const std::string &message) {
+        structuredError("bad_request", message);
+        return kExitUsage;
+    };
     if (!args.specPath.empty()) {
         std::string text;
-        if (!fs::readFile(args.specPath, &text, err))
-            return false;
-        std::string perr;
-        if (!serve::Json::parse(text, &request, &perr)) {
-            *err = args.specPath + ": " + perr;
-            return false;
+        if (!fs::readFile(args.specPath, &text, &err)) {
+            structuredError("io_error", err);
+            return kExitIo;
         }
+        if (!serve::Json::parse(text, &request, &err))
+            return badRequest(args.specPath + ": " + err);
     } else {
         request = serve::Json::object();
         request.set("model", args.model);
         if (!args.configJson.empty()) {
             serve::Json config;
-            std::string perr;
-            if (!serve::Json::parse(args.configJson, &config, &perr)) {
-                *err = "--config: " + perr;
-                return false;
-            }
+            if (!serve::Json::parse(args.configJson, &config, &err))
+                return badRequest("--config: " + err);
             request.set("config", std::move(config));
         }
         serve::Json axes = serve::Json::array();
         for (const std::string &text : args.axisSpecs) {
             serve::SweepAxis axis;
-            if (!parseAxis(text, &axis)) {
-                *err = "bad --axis '" + text +
-                       "' (want name=v1,v2,...)";
-                return false;
-            }
+            if (!serve::parseAxis(text, &axis))
+                return badRequest("bad --axis '" + text +
+                                  "' (want name=v1,v2,...)");
             serve::Json ja = serve::Json::object();
             ja.set("name", axis.name);
             serve::Json vals = serve::Json::array();
@@ -215,7 +189,9 @@ buildSpec(const Args &args, serve::SweepSpec *spec, std::string *err)
         }
         request.set("axes", std::move(axes));
     }
-    return serve::SweepSpec::fromJson(request, spec, err);
+    if (!serve::SweepSpec::fromJson(request, spec, &err))
+        return badRequest(err);
+    return kExitOk;
 }
 
 /** The full-grid identity this spec + engine mode journals under. */
@@ -312,10 +288,8 @@ shardMode(const Args &args)
     Args specArgs = args;
     specArgs.specPath = manifest.specPath;
     serve::SweepSpec spec;
-    if (!buildSpec(specArgs, &spec, &err)) {
-        structuredError("io_error", err);
-        return kExitIo;
-    }
+    if (int rc = buildSpec(specArgs, &spec))
+        return rc;
     sweep::Grid grid = spec.grid();
     std::vector<sweep::Point> points = grid.points();
 
@@ -398,10 +372,8 @@ mergeMode(const Args &args)
     Args specArgs = args;
     specArgs.specPath = first.specPath;
     serve::SweepSpec spec;
-    if (!buildSpec(specArgs, &spec, &err)) {
-        structuredError("io_error", err);
-        return kExitIo;
-    }
+    if (int rc = buildSpec(specArgs, &spec))
+        return rc;
 
     sweep::Table table{spec.schema()};
     std::vector<uint64_t> missing;
@@ -516,11 +488,8 @@ main(int argc, char **argv)
         return kExitUsage;
     }
     serve::SweepSpec spec;
-    std::string err;
-    if (!buildSpec(args, &spec, &err)) {
-        structuredError("usage", err);
-        return kExitUsage;
-    }
+    if (int rc = buildSpec(args, &spec))
+        return rc;
     if (args.emitShards > 0)
         return emitShardsMode(args, spec);
     return runWhole(args, spec);

@@ -17,6 +17,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "base/fnv.hh"
 #include "base/fsutil.hh"
 #include "base/logging.hh"
 #include "sweep/resultcache.hh"
@@ -25,26 +26,6 @@ namespace eq {
 namespace sweep {
 
 namespace {
-
-uint64_t
-fnv1a(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-uint64_t
-fnv1aStr(uint64_t h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 std::string
 hexU64(uint64_t v)
@@ -248,7 +229,7 @@ schemaSignature(const std::vector<Column> &schema)
 uint64_t
 hashPoints(const std::vector<Point> &points)
 {
-    uint64_t h = fnv1a(0xcbf29ce484222325ull, points.size());
+    uint64_t h = fnv1a(kFnvOffset, points.size());
     for (const auto &p : points) {
         h = fnv1a(h, p.index());
         for (int64_t v : p.values())

@@ -15,6 +15,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "base/fnv.hh"
 #include "base/fsutil.hh"
 #include "serve/protocol.hh"
 
@@ -122,12 +123,7 @@ ResultCache::close()
 uint64_t
 ResultCache::hashKey(const std::string &key)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : key) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return fnv1a(kFnvOffset, key);
 }
 
 bool

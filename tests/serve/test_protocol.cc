@@ -359,16 +359,19 @@ TEST(ServeJsonFuzz, DeepNestingIsRejectedNotOverflowed)
 
 TEST(ServeModels, ModelKeyJsonRoundTrip)
 {
-    for (serve::ModelKind kind :
-         {serve::ModelKind::Systolic, serve::ModelKind::Soc,
-          serve::ModelKind::Pipeline}) {
-        serve::ModelKey key = serve::defaultKey(kind);
+    // The defaults plus a non-default preset (a mixed-dataflow accel
+    // list and a Window bus) exercise every field kind.
+    for (const serve::ModelKey &key :
+         {serve::defaultKey(serve::ModelKind::Systolic),
+          serve::defaultKey(serve::ModelKind::Soc),
+          serve::defaultKey(serve::ModelKind::Pipeline),
+          serve::ModelKey::socKey(soc::SocConfig::heteroStarved())}) {
         Json cfg = serve::modelKeyToJson(key);
         serve::ModelKey back;
         std::string err;
-        ASSERT_TRUE(serve::modelKeyFromJson(kind, cfg, &back, &err))
+        ASSERT_TRUE(serve::modelKeyFromJson(key.kind, cfg, &back, &err))
             << err;
-        EXPECT_TRUE(back == key) << serve::modelName(kind);
+        EXPECT_TRUE(back == key) << serve::modelName(key.kind);
         EXPECT_EQ(back.hash(), key.hash());
     }
 }

@@ -4,8 +4,9 @@
  * ephemeral port: simulate answers with correct cache-warmth bits and
  * deterministic reports, served sweeps re-merge byte-identically to
  * the in-process SweepRunner at several worker counts, stats expose
- * cross-request reuse, protocol errors answer without killing the
- * connection, and concurrent clients get deterministic answers.
+ * cross-request reuse, protocol errors and invalid configs answer
+ * (bad_request naming the field) without killing the connection, and
+ * concurrent clients get deterministic answers.
  *
  * Hardening coverage: structured error codes, deadline_ms expiry,
  * client-disconnect-mid-sweep cancellation (the queues drain and a
@@ -192,6 +193,36 @@ TEST(ServeServer, ProtocolErrorsKeepConnectionAlive)
     ASSERT_TRUE(client.roundTrip(typo, &resp, &err)) << err;
     EXPECT_FALSE(resp.getBool("ok", true));
     EXPECT_EQ(serve::parseError(resp).code, ErrorCode::BadRequest);
+
+    // Configs and sweeps that used to crash the daemon (SIGFPE, generator
+    // asserts, eq_fatal) answer bad_request naming the field.
+    const char *invalid[][2] = {
+        {R"({"op":"simulate","model":"systolic","config":{"ah":0}})", "ah"},
+        {R"({"op":"simulate","model":"systolic","config":{"fh":50}})", "fh"},
+        {R"({"op":"simulate","model":"soc","config":{"dmas":0}})", "dmas"},
+        {R"({"op":"simulate","model":"soc","config":{"accels":[]}})",
+         "accels"},
+        {R"({"op":"simulate","model":"soc","config":{"sram_banks":0}})",
+         "sram_banks"},
+        {R"({"op":"simulate","model":"pipeline","config":{"stages":0}})",
+         "stages"},
+        {R"({"op":"sweep","model":"systolic","axes":[{"name":"ah",)"
+         R"("values":[4,0]}]})",
+         "ah"},
+        {R"({"op":"sweep","model":"systolic","axes":[{"name":"hw",)"
+         R"("values":[4,8]},{"name":"f","values":[2,6]}]})",
+         "fh"},
+    };
+    for (const auto &row : invalid) {
+        Json req;
+        ASSERT_TRUE(Json::parse(row[0], &req, &err)) << err;
+        ASSERT_TRUE(client.roundTrip(req, &resp, &err)) << err;
+        serve::ErrorInfo bad = serve::parseError(resp);
+        EXPECT_EQ(bad.code, ErrorCode::BadRequest) << row[0];
+        EXPECT_NE(bad.message.find("'" + std::string(row[1]) + "'"),
+                  std::string::npos)
+            << row[0] << " -> " << bad.message;
+    }
 
     Json unknown = Json::object();
     unknown.set("op", "frobnicate");

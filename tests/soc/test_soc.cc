@@ -1,10 +1,11 @@
 /**
  * @file
  * SoC scenario-family generator tests: config value semantics (equality
- * and hashing for worker caches), module well-formedness across the
- * shipped factories, exact byte accounting against the closed-form
- * traffic formulas, and contention monotonicity (narrower shared
- * resources never make the system faster).
+ * and hashing for worker caches, derived from the field tables),
+ * module well-formedness across the shipped factories, exact byte
+ * accounting against the closed-form traffic formulas at every
+ * elem_bytes, and contention monotonicity (narrower shared resources
+ * never make the system faster).
  */
 
 #include <gtest/gtest.h>
@@ -125,11 +126,15 @@ TEST(SocModule, PipelineVerifiesAndRuns)
     }
 }
 
+/** Every elem_bytes the config admits besides the presets' 4: the
+ *  generators' allocs must scale with it like the closed forms do. */
+const int64_t kElemBytes[] = {4, 1, 2, 8};
+
 /** The bus is the first connection created; per-tile links follow in
  *  accelerator order. */
-TEST(SocTraffic, DualSharedBusMatchesClosedForm)
+void
+expectSocTrafficMatches(const soc::SocConfig &cfg)
 {
-    soc::SocConfig cfg = soc::SocConfig::dualSharedBus();
     auto rep = simulateSoc(cfg);
     auto want = soc::expectedSocTraffic(cfg);
     ASSERT_EQ(rep.connections.size(), 1 + cfg.accels.size());
@@ -144,41 +149,49 @@ TEST(SocTraffic, DualSharedBusMatchesClosedForm)
     }
 }
 
+TEST(SocTraffic, DualSharedBusMatchesClosedForm)
+{
+    for (int64_t eb : kElemBytes) {
+        SCOPED_TRACE("elem_bytes=" + std::to_string(eb));
+        soc::SocConfig cfg = soc::SocConfig::dualSharedBus();
+        cfg.elemBytes = eb;
+        expectSocTrafficMatches(cfg);
+    }
+}
+
 TEST(SocTraffic, HeteroStarvedMatchesClosedForm)
 {
-    soc::SocConfig cfg = soc::SocConfig::heteroStarved();
-    auto rep = simulateSoc(cfg);
-    auto want = soc::expectedSocTraffic(cfg);
-    ASSERT_EQ(rep.connections.size(), 1 + cfg.accels.size());
-    EXPECT_EQ(rep.connections[0].readBytes, want.busReadBytes);
-    EXPECT_EQ(rep.connections[0].writeBytes, want.busWriteBytes);
+    auto want = soc::expectedSocTraffic(soc::SocConfig::heteroStarved());
     // Tile 0 is WS: preloads arrive over its link; tile 1 is OS:
     // accumulators drain over its link.
     EXPECT_GT(want.linkReadBytes[0], 0);
     EXPECT_EQ(want.linkWriteBytes[0], 0);
     EXPECT_EQ(want.linkReadBytes[1], 0);
     EXPECT_GT(want.linkWriteBytes[1], 0);
-    for (size_t a = 0; a < cfg.accels.size(); ++a) {
-        EXPECT_EQ(rep.connections[1 + a].readBytes, want.linkReadBytes[a])
-            << "accel " << a;
-        EXPECT_EQ(rep.connections[1 + a].writeBytes,
-                  want.linkWriteBytes[a])
-            << "accel " << a;
+    for (int64_t eb : kElemBytes) {
+        SCOPED_TRACE("elem_bytes=" + std::to_string(eb));
+        soc::SocConfig cfg = soc::SocConfig::heteroStarved();
+        cfg.elemBytes = eb;
+        expectSocTrafficMatches(cfg);
     }
 }
 
 /** Connections: conn-in, conn-out, then one hop per stage. */
 TEST(SocTraffic, PipelineMatchesClosedForm)
 {
-    soc::PipelineConfig cfg = soc::PipelineConfig::small();
-    auto rep = simulatePipeline(cfg);
-    auto want = soc::expectedPipelineTraffic(cfg);
-    ASSERT_EQ(rep.connections.size(), 2 + size_t(cfg.stages));
-    EXPECT_EQ(rep.connections[0].writeBytes, want.inBytes);
-    EXPECT_EQ(rep.connections[1].writeBytes, want.outBytes);
-    for (int s = 0; s < cfg.stages; ++s)
-        EXPECT_EQ(rep.connections[2 + s].writeBytes, want.hopBytes)
-            << "hop " << s;
+    for (int64_t eb : kElemBytes) {
+        SCOPED_TRACE("elem_bytes=" + std::to_string(eb));
+        soc::PipelineConfig cfg = soc::PipelineConfig::small();
+        cfg.elemBytes = eb;
+        auto rep = simulatePipeline(cfg);
+        auto want = soc::expectedPipelineTraffic(cfg);
+        ASSERT_EQ(rep.connections.size(), 2 + size_t(cfg.stages));
+        EXPECT_EQ(rep.connections[0].writeBytes, want.inBytes);
+        EXPECT_EQ(rep.connections[1].writeBytes, want.outBytes);
+        for (int s = 0; s < cfg.stages; ++s)
+            EXPECT_EQ(rep.connections[2 + s].writeBytes, want.hopBytes)
+                << "hop " << s;
+    }
 }
 
 TEST(SocContention, NarrowerBusNeverFaster)

@@ -5,7 +5,7 @@
  * valid records after it refuses as Corrupt; a header-less file is
  * recreated; duplicate records resolve last-write-wins), and the
  * header checks that keep a stale journal from silently merging into
- * the wrong sweep.
+ * the wrong sweep; the persisted hash values are pinned.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +13,10 @@
 #include <cstdio>
 #include <fstream>
 
+#include "base/fnv.hh"
 #include "base/fsutil.hh"
 #include "sweep/journal.hh"
+#include "sweep/resultcache.hh"
 
 namespace {
 
@@ -357,6 +359,20 @@ TEST_F(JournalTest, UnreadableHeaderLineRefusesAsCorrupt)
     std::string err;
     EXPECT_EQ(run(true, &t, &st, &err), sweep::JournalStatus::Corrupt);
     EXPECT_NE(err.find("header"), std::string::npos) << err;
+}
+
+/** Journal grid hashes and result-cache buckets are persisted, so the
+ *  shared FNV-1a must keep producing these exact values. */
+TEST(PersistedHashes, FnvAndGridHashArePinned)
+{
+    EXPECT_EQ(fnv1a(kFnvOffset, std::string()), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a(kFnvOffset, std::string("a")), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a(kFnvOffset, std::string("foobar")),
+              0x85944171f73967e8ull);
+    EXPECT_EQ(sweep::ResultCache::hashKey("foobar"), 0x85944171f73967e8ull);
+    sweep::Grid g;
+    g.axis("ah", {2, 4}).axis("aw", {2, 4, 8}).axis("x", {-1, 0, 7});
+    EXPECT_EQ(sweep::hashPoints(g.points()), 0xc32805686d0981a0ull);
 }
 
 TEST_F(JournalTest, StatusNamesAreStable)
