@@ -9,6 +9,10 @@ Every field of every model family gets hostile values: 0, -1, INT_MAX,
     as a one-point `sweep` request, both under a deadline;
   * `eqsweep` as `--config` and as `--axis`.
 
+Count flags (`--threads`, `--workers`, `--emit-shards`, the queue and
+cache sizes, `--port`) get negative, non-numeric, zero and huge values;
+each must be refused at parse time with exit 2.
+
 Every answer must be a report or a structured error. No process may die
 by a signal or `eq_fatal`: the daemon must still be serving after every
 case, and eqsweep must exit 0 or 2, with a JSON `bad_request` line on
@@ -172,10 +176,56 @@ def eqsweep(build_dir, model, config, axes):
          f"{proc.stderr.decode()}")
 
 
+# Count flags with values that must be refused at parse time, before
+# any thread or socket exists: exit 2 and a message naming the flag.
+BAD_COUNTS = ["-1", "abc", "0", "", " 4", "4x", "99999999999999999999"]
+FLAG_CASES = [
+    ("eqsweep", "--threads", BAD_COUNTS + ["257", "4294967295"]),
+    ("eqsweep", "--emit-shards", BAD_COUNTS + ["65537", "1e3"]),
+    ("eqserved", "--workers", BAD_COUNTS + ["257", "100000"]),
+    ("eqserved", "--cache-entries", BAD_COUNTS + ["2147483648"]),
+    ("eqserved", "--max-queue", BAD_COUNTS + ["2147483648"]),
+    ("eqserved", "--max-queue-total", BAD_COUNTS + ["2147483648"]),
+    ("eqserved", "--max-line", BAD_COUNTS + ["2147483648"]),
+    ("eqserved", "--port", ["-1", "abc", "65536", ""]),
+]
+
+
+def flag_fuzz(build_dir):
+    """Every rejected count flag exits 2 naming the flag; returns the
+    number of cases."""
+    n = 0
+    for binary, flag, values in FLAG_CASES:
+        for value in values:
+            cmd = [os.path.join(build_dir, "src", binary), flag, value]
+            if binary == "eqsweep":
+                cmd += ["--model", "systolic", "--axis", "elem_bytes=4"]
+            proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, timeout=20)
+            err = proc.stderr.decode()
+            if proc.returncode != 2 or flag not in err:
+                fail(f"{binary} {flag} {value!r}: exit "
+                     f"{proc.returncode}, stderr {err!r}")
+            n += 1
+    # An out-of-range EQ_SWEEP_THREADS is ignored with a warning (the
+    # one-point grid keeps even an unbounded parser at one thread).
+    env = dict(os.environ, EQ_SWEEP_THREADS="100000")
+    proc = subprocess.run(
+        [os.path.join(build_dir, "src", "eqsweep"), "--model", "systolic",
+         "--axis", "elem_bytes=4"], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, timeout=60)
+    if proc.returncode != 0 or b"EQ_SWEEP_THREADS" not in proc.stderr:
+        fail(f"EQ_SWEEP_THREADS=100000: exit {proc.returncode}, "
+             f"stderr {proc.stderr.decode()!r}")
+    return n + 1
+
+
 def main():
     build_dir = sys.argv[1] if len(sys.argv) > 1 else "build"
     rng = random.Random(SEED)
     rejected = 0
+    print(f"  {flag_fuzz(build_dir)} out-of-range count flags refused "
+          f"before starting work")
     with Daemon(build_dir, 1) as daemon:
         conn = Lines(daemon.port)
         for i, (model, config, axes, field) in enumerate(EVIDENCE):

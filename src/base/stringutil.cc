@@ -1,5 +1,8 @@
 #include "base/stringutil.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <sstream>
 
 namespace eq {
@@ -66,6 +69,22 @@ jsonEscape(const std::string &s)
         }
     }
     return out;
+}
+
+bool
+parseIntInRange(const char *text, int64_t lo, int64_t hi, int64_t *out)
+{
+    // strtoll alone would accept leading blanks and a '+'.
+    if (!text || !std::isdigit(static_cast<unsigned char>(
+                     text[0] == '-' ? text[1] : text[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    long long v = std::strtoll(text, &end, 10);
+    if (errno == ERANGE || *end != '\0' || v < lo || v > hi)
+        return false;
+    *out = v;
+    return true;
 }
 
 } // namespace eq

@@ -6,6 +6,7 @@
 #ifndef EQ_BASE_STRINGUTIL_HH
 #define EQ_BASE_STRINGUTIL_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,17 @@ bool startsWith(const std::string &s, const std::string &prefix);
 
 /** Escape a string for embedding in a JSON document. */
 std::string jsonEscape(const std::string &s);
+
+/** Upper bound for every worker/thread count a flag or environment
+ *  variable may request: far below any OS thread limit, far above any
+ *  useful degree of parallelism on one host. */
+constexpr int64_t kMaxWorkerThreads = 256;
+
+/** Parse @p text — an optional '-' then decimal digits, nothing else —
+ *  as an integer within [@p lo, @p hi]. @return false, leaving @p out
+ *  untouched, on any other text, on overflow, or out of range. */
+bool parseIntInRange(const char *text, int64_t lo, int64_t hi,
+                     int64_t *out);
 
 } // namespace eq
 

@@ -7,12 +7,14 @@
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "base/fsutil.hh"
+#include "base/stringutil.hh"
 #include "serve/faults.hh"
 #include "serve/server.hh"
 
@@ -57,15 +59,11 @@ usage(const char *argv0)
         argv0);
 }
 
+/** Parse a size/queue count flag: a whole integer in [1, INT32_MAX]. */
 bool
-parseNum(const char *text, long *out)
+parseCount(const char *text, int64_t *out)
 {
-    char *end = nullptr;
-    long n = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || n < 0)
-        return false;
-    *out = n;
-    return true;
+    return parseIntInRange(text, 1, INT32_MAX, out);
 }
 
 } // namespace
@@ -90,11 +88,11 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        long n = 0;
+        int64_t n = 0;
         if (arg == "--host") {
             opts.host = value();
         } else if (arg == "--port") {
-            if (!parseNum(value(), &n) || n > 65535) {
+            if (!parseIntInRange(value(), 0, 65535, &n)) {
                 std::fprintf(stderr, "eqserved: bad --port\n");
                 return 2;
             }
@@ -102,32 +100,34 @@ main(int argc, char **argv)
         } else if (arg == "--port-file") {
             portFile = value();
         } else if (arg == "--cache-entries") {
-            if (!parseNum(value(), &n) || n < 1) {
+            if (!parseCount(value(), &n)) {
                 std::fprintf(stderr, "eqserved: bad --cache-entries\n");
                 return 2;
             }
             opts.cacheEntries = static_cast<size_t>(n);
         } else if (arg == "--workers") {
-            if (!parseNum(value(), &n) || n < 1) {
-                std::fprintf(stderr, "eqserved: bad --workers\n");
+            if (!parseIntInRange(value(), 1, kMaxWorkerThreads, &n)) {
+                std::fprintf(stderr,
+                             "eqserved: bad --workers (want 1..%lld)\n",
+                             static_cast<long long>(kMaxWorkerThreads));
                 return 2;
             }
             opts.workers = static_cast<unsigned>(n);
         } else if (arg == "--max-queue") {
-            if (!parseNum(value(), &n) || n < 1) {
+            if (!parseCount(value(), &n)) {
                 std::fprintf(stderr, "eqserved: bad --max-queue\n");
                 return 2;
             }
             opts.maxQueuedPerClient = static_cast<size_t>(n);
         } else if (arg == "--max-queue-total") {
-            if (!parseNum(value(), &n) || n < 1) {
+            if (!parseCount(value(), &n)) {
                 std::fprintf(stderr,
                              "eqserved: bad --max-queue-total\n");
                 return 2;
             }
             opts.maxQueuedTotal = static_cast<size_t>(n);
         } else if (arg == "--max-line") {
-            if (!parseNum(value(), &n) || n < 1) {
+            if (!parseCount(value(), &n)) {
                 std::fprintf(stderr, "eqserved: bad --max-line\n");
                 return 2;
             }

@@ -1,7 +1,10 @@
 #include "serve/scheduler.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
+
+#include "base/stringutil.hh"
 
 namespace eq {
 namespace serve {
@@ -11,16 +14,13 @@ namespace {
 unsigned
 resolveWorkers(unsigned requested)
 {
-    if (requested)
-        return requested;
-    if (const char *env = std::getenv("EQ_SERVE_WORKERS")) {
-        char *end = nullptr;
-        long n = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0)
-            return static_cast<unsigned>(n);
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    int64_t n = requested;
+    if (const char *env = std::getenv("EQ_SERVE_WORKERS"); !n && env)
+        parseIntInRange(env, 1, kMaxWorkerThreads, &n);
+    if (!n)
+        n = std::thread::hardware_concurrency();
+    return static_cast<unsigned>(
+        std::clamp<int64_t>(n, 1, kMaxWorkerThreads));
 }
 
 } // namespace

@@ -339,6 +339,8 @@ Server::handleSimulate(const std::shared_ptr<Conn> &conn, Json request,
         } catch (const BuildError &e) {
             conn->send(
                 makeError(&id, ErrorCode::BuildFailed, e.what()));
+        } catch (const sim::BudgetExceeded &e) {
+            conn->send(makeError(&id, ErrorCode::BadRequest, e.what()));
         } catch (const std::exception &e) {
             conn->send(makeError(&id, ErrorCode::Internal, e.what()));
         }
@@ -457,6 +459,8 @@ Server::handleSweep(const std::shared_ptr<Conn> &conn, Json request,
                 conn->send(resp);
             } catch (const BuildError &e) {
                 sendPointError(ErrorCode::BuildFailed, e.what());
+            } catch (const sim::BudgetExceeded &e) {
+                sendPointError(ErrorCode::BadRequest, e.what());
             } catch (const std::exception &e) {
                 sendPointError(ErrorCode::Internal, e.what());
             }

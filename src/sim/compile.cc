@@ -23,11 +23,14 @@
  *    *not* inlined — they are separate scopes, compiled on first
  *    issue.
  *
- * Counting parity: the interpreter increments opsExecuted once per
- * dispatch; each record that corresponds to a dispatch carries
- * kFlagCounts, loop-End/Halt bookkeeping records do not, so both
- * backends report identical opsExecuted (goldens compare it).
+ * Counting parity: the interpreter increments opsExecuted and
+ * dispatchCount once per dispatch; each record that corresponds to a
+ * dispatch carries kFlagCounts and kFlagDispatch, loop-End/Halt
+ * bookkeeping records carry neither, so both backends report identical
+ * counters (goldens compare them).
  */
+
+#include <algorithm>
 
 #include "dialects/affine.hh"
 #include "dialects/equeue.hh"
@@ -132,8 +135,9 @@ class ModuleCompiler {
         m.code = code;
         m.op = op;
         if (counted)
-            m.flags |= kFlagCounts;
+            m.flags |= kFlagCounts | kFlagDispatch;
         if (op) {
+            m.label = &op->name();
             const uint32_t raw = op->opId().raw();
             for (unsigned cls = 0; cls < kNumCostClasses; ++cls) {
                 const auto &row = _eng.costTable[cls];
@@ -153,8 +157,11 @@ class ModuleCompiler {
         MicroOp &m = _prog->code[pc];
         m.argsBegin = static_cast<uint32_t>(_prog->args.size());
         m.nargs = static_cast<uint16_t>(op->numOperands());
-        for (unsigned i = 0; i < op->numOperands(); ++i)
+        for (unsigned i = 0; i < op->numOperands(); ++i) {
             _prog->args.push_back(refOf(op->operand(i)));
+            _prog->maxHops =
+                std::max(_prog->maxHops, _prog->args.back().hops);
+        }
     }
 
     void
@@ -293,6 +300,8 @@ ModuleCompiler::emitOp(ir::Operation *op, MOp code)
         m.aux = static_cast<uint32_t>(_prog->resultPool.size());
         for (unsigned i = 0; i < op->numResults(); ++i)
             _prog->resultPool.push_back(slotOf(op->result(i)));
+        m.label = &op->strAttr("signature");
+        m.fn = _eng.opFns.find(*m.label);
         break;
     }
     default:

@@ -25,7 +25,10 @@
  *
  * CompiledExec (compiled_exec.cc) then runs the stream with a dense
  * jump-table dispatch over the opcode — a computed jump straight to
- * the micro-op's code — instead of walking ir::Operation nodes.
+ * the micro-op's code — instead of walking ir::Operation nodes. The
+ * fusion pass (fuse.cc) rewrites a stream without changing its record
+ * type: a fused group is a MOp::Fused header followed by the very
+ * records it groups, so every opcode has exactly one implementation.
  *
  * Lifetime: a CompiledBlock borrows the IR (records keep the
  * originating ir::Operation* for attributes, trace labels, and cold
@@ -104,8 +107,8 @@ enum class MOp : uint8_t {
     Await,      ///< args = [events...] (none = all spawned)
     Return,
     Extern,     ///< aux -> resultPool (extra result slots)
-    // Superinstruction (sim/fuse.cc): one dispatch for a fused run of
-    // simple records. aux -> fusedGroups.
+    // Superinstruction header (sim/fuse.cc): counts the one dispatch of
+    // the fused run of records that follows it, then falls through.
     Fused,
     kCount
 };
@@ -120,11 +123,7 @@ struct SlotRef {
 
 constexpr uint32_t kNoSlot = 0xffffffffu;
 
-/** Deepest operand env-chain a fused group may reference; runs needing
- *  more (absurdly deep launch nesting) are simply left unfused. */
-constexpr uint32_t kMaxFusedHops = 8;
-
-/** MicroOp::flags bits (shared by MicroOp and FusedElem). */
+/** MicroOp::flags bits. */
 enum : uint8_t {
     kFlagCounts = 1 << 0,      ///< counts toward opsExecuted (one per
                                ///< interpreter dispatch, for parity)
@@ -132,11 +131,14 @@ enum : uint8_t {
     kFlagIsAddComp = 1 << 2,   ///< CreateComp record is an add_comp
     kFlagEqueueAlloc = 1 << 3, ///< Alloc record is an equeue.alloc
     kFlagImmIdx = 1 << 4,      ///< index operands folded to immediates
-                               ///< (aux/immBegin -> immIdx pool)
+                               ///< (aux -> immIdx pool)
     kFlagScalarize = 1 << 5,   ///< whole-cell read may bind a scalar
                                ///< instead of materializing a tensor
                                ///< (all uses proven scalar-compatible
                                ///< and inside the fused group)
+    kFlagDispatch = 1 << 6,    ///< counts toward dispatchCount: every
+                               ///< counted record of an unfused stream,
+                               ///< only the header of a fused group
 };
 
 /**
@@ -156,6 +158,12 @@ struct MicroOp {
     int64_t imm = 0;        ///< pre-folded immediate (stream elems, ...)
     ir::Operation *op = nullptr; ///< originating IR op (attributes,
                                  ///< trace labels, cold paths)
+    /** Trace label: the op name, or an extern's signature. */
+    const std::string *label = nullptr;
+    /** Extern: op function resolved at compile time (registry entries
+     *  are node-stable, so the pointer survives later
+     *  re-registrations); null falls back to the by-signature lookup. */
+    const OpFunction *fn = nullptr;
     /** Pre-folded cost-table row: occupancy cycles per executing
      *  processor cost class (CostModel::kDynamic defers to
      *  linalgCycles at execution time, exactly like the interpreter's
@@ -163,54 +171,8 @@ struct MicroOp {
     std::array<Cycles, kNumCostClasses> cost{};
 
     bool counts() const { return flags & kFlagCounts; }
+    bool dispatches() const { return flags & kFlagDispatch; }
     bool hasConn() const { return flags & kFlagHasConn; }
-};
-
-/**
- * One constituent of a fused superinstruction (MOp::Fused). Carries the
- * same pre-resolved fields as the MicroOp it replaces plus the
- * fusion-time specializations: the pre-combined cost row, an optional
- * cached op-function pointer (Extern), a pre-built trace label, and
- * immediate index offsets (kFlagImmIdx). Executing one FusedElem is
- * observationally identical to executing the original record —
- * per-element costs, memory/connection acquisition order, opsExecuted
- * accounting, and trace lines are all preserved; only the per-record
- * dispatch (and, with kFlagScalarize, dead tensor materialization) is
- * gone.
- */
-struct FusedElem {
-    MOp code = MOp::Bad;
-    uint8_t flags = 0;
-    uint16_t nargs = 0;
-    uint32_t argsBegin = 0;     ///< into CompiledBlock::args
-    uint32_t result = kNoSlot;
-    uint32_t aux = 0;           ///< per-opcode aux pool (consts, ...)
-    uint32_t immBegin = 0;      ///< into immIdx when kFlagImmIdx
-    uint32_t resultBegin = 0;   ///< Extern: into resultPool
-    uint32_t nresults = 0;      ///< Extern: result count
-    int64_t imm = 0;            ///< stream elems
-    ir::Operation *op = nullptr;
-    /** Extern: op function resolved at fuse time (registry entries are
-     *  node-stable, so the pointer survives later re-registrations);
-     *  null falls back to the by-signature lookup. */
-    const OpFunction *fn = nullptr;
-    /** Pre-built trace label (op name / extern signature). */
-    std::string label;
-    /** Pre-folded cost row, copied from the replaced record. */
-    std::array<Cycles, kNumCostClasses> cost{};
-
-    bool hasConn() const { return flags & kFlagHasConn; }
-    bool immIdx() const { return flags & kFlagImmIdx; }
-    bool scalarize() const { return flags & kFlagScalarize; }
-};
-
-/** A fused run of records, dispatched as one MOp::Fused record. */
-struct FusedGroup {
-    std::vector<FusedElem> elems;
-    /** Deepest env-chain hop count over all operand refs; the executor
-     *  resolves each chain level once per group entry instead of
-     *  walking parent links per operand ("SlotRef chain coalescing"). */
-    uint32_t maxHops = 0;
 };
 
 /** A compiled interpretation scope: the relocatable micro-op stream
@@ -254,11 +216,8 @@ struct CompiledBlock {
     };
     std::vector<Capture> captures;
 
-    /** Superinstruction groups (MOp::Fused records; sim/fuse.cc). Only
-     *  populated in optimized programs. */
-    std::vector<FusedGroup> fusedGroups;
     /** Immediate index operands folded from same-scope constants
-     *  (records/elems with kFlagImmIdx). */
+     *  (records with kFlagImmIdx). */
     std::vector<int64_t> immIdx;
 
     /** Root block this program was compiled from (keys the program
@@ -268,6 +227,9 @@ struct CompiledBlock {
      *  executing environment's scopeId). */
     uint32_t scopeId = 0;
     uint32_t numSlots = 0;
+    /** Deepest env-chain hop count over all operand refs: how many
+     *  parent levels an executing CompiledExec resolves up front. */
+    uint32_t maxHops = 0;
 };
 
 } // namespace sim

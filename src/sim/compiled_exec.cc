@@ -5,12 +5,16 @@
  * an opcode-indexed table — the function-pointer-table equivalent,
  * but with the loop state kept in registers across micro-ops).
  *
- * Every case mirrors the corresponding interpreter handler exactly —
- * same event creation order, same memory/connection acquisition
- * sequence, same trace records, same opsExecuted accounting — so the
- * two backends are byte-identical on goldens; only the per-op
- * overhead differs. Cold semantics shared with the interpreter live
- * in elaborate.cc (structure ops) and handlers.cc (data-motion cores,
+ * Each opcode has exactly one case, which serves unfused records and
+ * fused group members alike (a group is a MOp::Fused header followed
+ * by its members; the fusion specializations — immediate indices,
+ * scalarized cell reads — are record flags the case honours). Every
+ * case mirrors the corresponding interpreter handler exactly — same
+ * event creation order, same memory/connection acquisition sequence,
+ * same trace records, same opsExecuted accounting — so the two
+ * backends are byte-identical on goldens; only the per-op overhead
+ * differs. Cold semantics shared with the interpreter live in
+ * elaborate.cc (structure ops) and handlers.cc (data-motion cores,
  * linalg functional semantics).
  */
 
@@ -21,12 +25,19 @@
 namespace eq {
 namespace sim {
 
-std::string
-CompiledExec::traceLabel(const MicroOp &m) const
+CompiledExec::CompiledExec(Simulator::Impl &eng, Event *ev,
+                           Processor *proc, const CompiledBlock &prog,
+                           EnvPtr env)
+    : _eng(eng), _event(ev), _proc(proc), _prog(prog), _env(std::move(env)),
+      _cls(proc ? static_cast<unsigned>(proc->costClass())
+                : static_cast<unsigned>(CostClass::Root))
 {
-    if (m.code == MOp::Extern)
-        return m.op->strAttr("signature");
-    return m.op->name();
+    eq_assert(_env->scopeId == prog.scopeId,
+              "compiled program bound to a foreign environment");
+    Env *e = _env.get();
+    const uint32_t levels = std::min(prog.maxHops + 1, kCachedLevels);
+    for (uint32_t h = 0; h < levels; ++h, e = e->parent.get())
+        _levels[h] = e;
 }
 
 bool
@@ -42,7 +53,7 @@ CompiledExec::chargeAfter(const MicroOp &m, Cycles &now, Cycles start,
                 _eng.recordTrace("stall", _proc, now, start - now,
                                  "stall");
             if (cycles > 0)
-                _eng.recordTrace(traceLabel(m), _proc, start, cycles);
+                _eng.recordTrace(*m.label, _proc, start, cycles);
         }
     }
     _eng.noteActivity(end);
@@ -89,12 +100,9 @@ CompiledExec::resume(Cycles t)
     const MicroOp *code = _prog.code.data();
     for (;;) {
         const MicroOp &m = code[_pc];
-        if (m.counts()) {
-            ++_eng.dispatchCount;
-            if (++_eng.opsExecuted > _eng.opts.maxOps)
-                eq_fatal("interpreted op budget exceeded (",
-                         _eng.opts.maxOps, "); runaway program?");
-        }
+        _eng.dispatchCount += m.dispatches();
+        if (m.counts() && ++_eng.opsExecuted > _eng.opts.maxOps)
+            throwBudgetExceeded(_eng.opts.maxOps);
         switch (m.code) {
         // --- control flow -------------------------------------------
         case MOp::ForBegin: {
@@ -294,7 +302,16 @@ CompiledExec::resume(Cycles t)
             const unsigned nidx = m.nargs - idx0;
             int64_t bytes;
             int64_t words;
-            if (nidx == 0) {
+            if (nidx == 0 && (m.flags & kFlagScalarize) &&
+                buf->data->numElements() == 1) {
+                // All uses proven in-group and scalar-compatible: bind
+                // the cell's value directly — byte counts and consumer
+                // behavior match the 1-element tensor materialized
+                // otherwise.
+                bytes = (buf->data->elemBits + 7) / 8;
+                words = 1;
+                bindLocal(m.result, SimValue::ofInt(buf->data->data[0]));
+            } else if (nidx == 0) {
                 auto copy = std::make_shared<Tensor>(*buf->data);
                 bytes = copy->sizeBytes();
                 words = buf->data->numElements();
@@ -538,24 +555,29 @@ CompiledExec::resume(Cycles t)
             finish(now);
             return;
         case MOp::Extern: {
-            OpCall call;
-            call.op = m.op;
-            call.proc = _proc;
-            call.args.reserve(m.nargs);
+            // Scratch call frame + compile-time-cached function pointer:
+            // no per-call signature lookup, no argument-vector churn.
+            _scratch.op = m.op;
+            _scratch.proc = _proc;
+            _scratch.args.reserve(m.nargs);
             for (unsigned i = 0; i < m.nargs; ++i)
-                call.args.push_back(arg(m, i));
-            OpFnResult r =
-                _eng.opFns.invoke(m.op->strAttr("signature"), call);
-            eq_assert(r.results.size() >= m.op->numResults(),
+                _scratch.args.push_back(arg(m, i));
+            OpFnResult r = m.fn ? (*m.fn)(_scratch)
+                                : _eng.opFns.invoke(*m.label, _scratch);
+            // Drop the argument refs now: an exec lives until the run
+            // ends, and a kept tensor argument would live as long.
+            _scratch.args.clear();
+            const unsigned nresults = m.op->numResults();
+            eq_assert(r.results.size() >= nresults,
                       "op function returned too few results for '",
-                      m.op->strAttr("signature"), "'");
-            for (unsigned i = 0; i < m.op->numResults(); ++i) {
+                      *m.label, "'");
+            for (unsigned i = 0; i < nresults; ++i) {
                 // The dense environment uses None to mean "unbound"; a
                 // default-constructed result would read back as a
                 // missing binding later, so reject it here where the
                 // signature is known.
                 eq_assert(!r.results[i].isNone(), "op function for '",
-                          m.op->strAttr("signature"),
+                          *m.label,
                           "' returned an empty SimValue for result ", i);
                 bindLocal(_prog.resultPool[m.aux + i], r.results[i]);
             }
@@ -620,8 +642,9 @@ CompiledExec::resume(Cycles t)
 
         // --- superinstructions (sim/fuse.cc) ------------------------
         case MOp::Fused:
-            if (execFused(m, now))
-                return;
+            // The group's one dispatch is counted above; its members
+            // follow as ordinary records.
+            ++_pc;
             continue;
 
         case MOp::Bad:
@@ -630,486 +653,6 @@ CompiledExec::resume(Cycles t)
                      m.op ? m.op->name() : "?", "'");
         }
     }
-}
-
-bool
-CompiledExec::chargeFused(const FusedElem &e, Cycles &now, Cycles start,
-                          Cycles cycles, uint32_t k)
-{
-    Cycles end = start + cycles;
-    if (_proc) {
-        _proc->recordBusy(cycles);
-        _proc->recordOp();
-        if (_eng.traceData.enabled()) {
-            if (start > now)
-                _eng.recordTrace("stall", _proc, now, start - now,
-                                 "stall");
-            if (cycles > 0)
-                _eng.recordTrace(e.label, _proc, start, cycles);
-        }
-    }
-    _eng.noteActivity(end);
-    if (end > now) {
-        // Same time-advance fast path as chargeAfter; a mid-group
-        // suspension saves the element position so resume re-enters
-        // the group exactly where the unfused stream would have
-        // resumed its next record.
-        if (_eng.nothingPendingBefore(end)) {
-            _eng.now = end;
-            now = end;
-            return false;
-        }
-        _subPc = k + 2; // 1-based: resume at element k + 1
-        _eng.scheduleAt(end, [this, end] { resume(end); });
-        return true;
-    }
-    return false;
-}
-
-/*
- * NOTE: each element case below intentionally restates the semantics
- * of the record it replaces (third copy after the interp handler and
- * the main switch) rather than sharing a templated core: the
- * specializations — coalesced arg resolution, scalarized cell reads,
- * cached extern functions, element-position suspension — are the
- * point of fusion, and a shared abstraction would obscure the
- * cycle-for-cycle mirroring that the three-way equivalence matrix
- * (tests/sim/test_backend_equiv.cc) and the fused golden legs pin.
- * When changing any op's semantics, update all three sites; the
- * matrix tests fail on any divergence an op can exhibit in the golden
- * workloads.
- */
-bool
-CompiledExec::execFused(const MicroOp &m, Cycles &now)
-{
-    const FusedGroup &g = _prog.fusedGroups[m.aux];
-    // One jump-table dispatch for the whole group; re-entries after a
-    // mid-group suspension do not re-count it.
-    if (_subPc == 0)
-        ++_eng.dispatchCount;
-
-    // Coalesced operand chains: resolve each env-chain level once per
-    // entry instead of walking parent links per operand.
-    Env *levels[kMaxFusedHops + 1];
-    {
-        Env *e = _env.get();
-        levels[0] = e;
-        for (uint32_t h = 1; h <= g.maxHops; ++h) {
-            e = e->parent.get();
-            levels[h] = e;
-        }
-    }
-    auto slot = [&](const SlotRef &r) -> SimValue & {
-        return levels[r.hops]->slots[r.slot];
-    };
-    auto argOf = [&](const FusedElem &e, unsigned i) -> const SimValue & {
-        const SimValue &s = slot(_prog.args[e.argsBegin + i]);
-        eq_assert(!s.isNone(),
-                  "use of value with no runtime binding (op '",
-                  e.op ? e.op->name() : "?",
-                  "'): likely a missing event dependency");
-        return s;
-    };
-    auto indices = [&](const FusedElem &e, unsigned first,
-                       int64_t *buf) -> const int64_t * {
-        if (e.immIdx())
-            return _prog.immIdx.data() + e.immBegin;
-        const unsigned n = e.nargs - first;
-        eq_assert(n <= kMaxRank, "index rank exceeds kMaxRank");
-        for (unsigned i = 0; i < n; ++i)
-            buf[i] = argOf(e, first + i).asInt();
-        return buf;
-    };
-
-    uint32_t k = _subPc ? _subPc - 1 : 0;
-    _subPc = 0;
-    const uint32_t n = static_cast<uint32_t>(g.elems.size());
-    for (; k < n; ++k) {
-        const FusedElem &e = g.elems[k];
-        // opsExecuted parity: every element was a counted dispatch in
-        // the unfused stream (elements re-executed after a stream wait
-        // re-count, exactly like their records would).
-        if (++_eng.opsExecuted > _eng.opts.maxOps)
-            eq_fatal("interpreted op budget exceeded (", _eng.opts.maxOps,
-                     "); runaway program?");
-        switch (e.code) {
-        case MOp::Constant:
-            bindLocal(e.result, _prog.consts[e.aux]);
-            continue;
-        case MOp::AddI:
-            bindLocal(e.result, SimValue::ofInt(argOf(e, 0).asInt() +
-                                                argOf(e, 1).asInt()));
-            if (chargeFused(e, now, now, costOf(e), k))
-                return true;
-            continue;
-        case MOp::SubI:
-            bindLocal(e.result, SimValue::ofInt(argOf(e, 0).asInt() -
-                                                argOf(e, 1).asInt()));
-            if (chargeFused(e, now, now, costOf(e), k))
-                return true;
-            continue;
-        case MOp::MulI:
-            bindLocal(e.result, SimValue::ofInt(argOf(e, 0).asInt() *
-                                                argOf(e, 1).asInt()));
-            if (chargeFused(e, now, now, costOf(e), k))
-                return true;
-            continue;
-        case MOp::DivSI: {
-            int64_t lhs = argOf(e, 0).asInt();
-            int64_t rhs = argOf(e, 1).asInt();
-            bindLocal(e.result,
-                      SimValue::ofInt(rhs == 0 ? 0 : lhs / rhs));
-            if (chargeFused(e, now, now, costOf(e), k))
-                return true;
-            continue;
-        }
-        case MOp::RemSI: {
-            int64_t lhs = argOf(e, 0).asInt();
-            int64_t rhs = argOf(e, 1).asInt();
-            bindLocal(e.result,
-                      SimValue::ofInt(rhs == 0 ? 0 : lhs % rhs));
-            if (chargeFused(e, now, now, costOf(e), k))
-                return true;
-            continue;
-        }
-        case MOp::AddF:
-            bindLocal(e.result,
-                      SimValue::ofFloat(argOf(e, 0).asFloat() +
-                                        argOf(e, 1).asFloat()));
-            if (chargeFused(e, now, now, costOf(e), k))
-                return true;
-            continue;
-        case MOp::MulF:
-            bindLocal(e.result,
-                      SimValue::ofFloat(argOf(e, 0).asFloat() *
-                                        argOf(e, 1).asFloat()));
-            if (chargeFused(e, now, now, costOf(e), k))
-                return true;
-            continue;
-
-        case MOp::Load: {
-            BufferObj *buf = argOf(e, 0).asBuffer();
-            int64_t idxbuf[kMaxRank];
-            const unsigned nidx = e.nargs - 1;
-            const int64_t *idx = indices(e, 1, idxbuf);
-            int64_t off = buf->data->offset(idx, nidx);
-            Cycles start = _eng.bufferAccessStart(
-                buf, nullptr, /*is_write=*/false, 1,
-                (buf->data->elemBits + 7) / 8, now);
-            bindLocal(e.result, SimValue::ofInt(buf->data->data[off]));
-            if (chargeFused(e, now, start, costOf(e), k))
-                return true;
-            continue;
-        }
-        case MOp::Store: {
-            BufferObj *buf = argOf(e, 1).asBuffer();
-            int64_t idxbuf[kMaxRank];
-            const unsigned nidx = e.nargs - 2;
-            const int64_t *idx = indices(e, 2, idxbuf);
-            int64_t off = buf->data->offset(idx, nidx);
-            Cycles start = _eng.bufferAccessStart(
-                buf, nullptr, /*is_write=*/true, 1,
-                (buf->data->elemBits + 7) / 8, now);
-            buf->data->data[off] = argOf(e, 0).asInt();
-            if (chargeFused(e, now, start, costOf(e), k))
-                return true;
-            continue;
-        }
-
-        case MOp::Read: {
-            BufferObj *buf = argOf(e, 0).asBuffer();
-            Connection *conn =
-                e.hasConn() ? argOf(e, 1).asConnection() : nullptr;
-            const unsigned idx0 = e.hasConn() ? 2 : 1;
-            const unsigned nidx = e.nargs - idx0;
-            int64_t bytes;
-            int64_t words;
-            if (nidx == 0) {
-                if (e.scalarize() && buf->data->numElements() == 1) {
-                    // All uses proven in-group and scalar-compatible:
-                    // bind the cell's value directly — byte counts and
-                    // consumer behavior match the 1-element tensor the
-                    // unfused record would have materialized.
-                    bytes = (buf->data->elemBits + 7) / 8;
-                    words = 1;
-                    bindLocal(e.result,
-                              SimValue::ofInt(buf->data->data[0]));
-                } else {
-                    auto copy = std::make_shared<Tensor>(*buf->data);
-                    bytes = copy->sizeBytes();
-                    words = buf->data->numElements();
-                    bindLocal(e.result, SimValue::ofTensor(copy));
-                }
-            } else {
-                int64_t idxbuf[kMaxRank];
-                const int64_t *idx = indices(e, idx0, idxbuf);
-                bytes = (buf->data->elemBits + 7) / 8;
-                words = 1;
-                bindLocal(
-                    e.result,
-                    SimValue::ofInt(
-                        buf->data
-                            ->data[buf->data->offset(idx, nidx)]));
-            }
-            Cycles start = _eng.bufferAccessStart(
-                buf, conn, /*is_write=*/false, words, bytes, now);
-            if (chargeFused(e, now, start, costOf(e), k))
-                return true;
-            continue;
-        }
-        case MOp::Write: {
-            const SimValue &val = argOf(e, 0);
-            BufferObj *buf = argOf(e, 1).asBuffer();
-            Connection *conn =
-                e.hasConn() ? argOf(e, 2).asConnection() : nullptr;
-            const unsigned idx0 = e.hasConn() ? 3 : 2;
-            const unsigned nidx = e.nargs - idx0;
-            int64_t bytes;
-            if (nidx == 0 && val.isTensor()) {
-                auto src = val.asTensor();
-                int64_t nn = std::min(src->numElements(),
-                                      buf->data->numElements());
-                std::copy_n(src->data.begin(), nn,
-                            buf->data->data.begin());
-                bytes = nn * ((buf->data->elemBits + 7) / 8);
-            } else if (nidx > 0) {
-                int64_t idxbuf[kMaxRank];
-                const int64_t *idx = indices(e, idx0, idxbuf);
-                buf->data->data[buf->data->offset(idx, nidx)] =
-                    val.asInt();
-                bytes = (buf->data->elemBits + 7) / 8;
-            } else {
-                // Scalar into rank-0/1 buffer: write element 0.
-                buf->data->data[0] = val.asInt();
-                bytes = (buf->data->elemBits + 7) / 8;
-            }
-            int64_t words = nidx == 0 && val.isTensor()
-                                ? val.asTensor()->numElements()
-                                : 1;
-            Cycles start = _eng.bufferAccessStart(
-                buf, conn, /*is_write=*/true, words, bytes, now);
-            if (chargeFused(e, now, start, costOf(e), k))
-                return true;
-            continue;
-        }
-
-        case MOp::StreamRead: {
-            StreamFifo *fifo = argOf(e, 0).asStream();
-            size_t elems = static_cast<size_t>(e.imm);
-            Cycles ready = fifo->readyTime(elems);
-            if (ready == StreamFifo::kNoReadyTime) {
-                // Re-execute this element when the producer pushes
-                // (the unfused record re-executes the same way).
-                _subPc = k + 1; // 1-based: resume at element k
-                _eng.streamWaiters[fifo].push_back(
-                    [this] { resume(_eng.now); });
-                return true;
-            }
-            if (ready > now) {
-                if (_eng.nothingPendingBefore(ready)) {
-                    _eng.now = ready;
-                    now = ready;
-                    --k; // re-execute this element at `ready`
-                    continue;
-                }
-                _subPc = k + 1; // 1-based: resume at element k
-                _eng.scheduleAt(ready,
-                                [this, ready] { resume(ready); });
-                return true;
-            }
-            auto vals = fifo->pop(elems);
-            auto tensor = Tensor::zeros({static_cast<int64_t>(elems)},
-                                        fifo->dataBits());
-            tensor->data = std::move(vals);
-            bindLocal(e.result, SimValue::ofTensor(tensor));
-            if (e.hasConn()) {
-                Connection *conn = argOf(e, 1).asConnection();
-                int64_t bytes = tensor->sizeBytes();
-                conn->recordTransfer(
-                    true, now,
-                    now + std::max<Cycles>(conn->transferCycles(bytes),
-                                           1),
-                    bytes);
-            }
-            if (chargeFused(e, now, now, costOf(e), k))
-                return true;
-            continue;
-        }
-        case MOp::StreamWrite: {
-            const SimValue &val = argOf(e, 0);
-            StreamFifo *fifo = argOf(e, 1).asStream();
-            Connection *conn =
-                e.hasConn() ? argOf(e, 2).asConnection() : nullptr;
-            std::vector<int64_t> elems;
-            if (val.isTensor())
-                elems = val.asTensor()->data;
-            else
-                elems.push_back(val.asInt());
-            _eng.streamPush(fifo, conn, elems, now);
-            if (chargeFused(e, now, now, costOf(e), k))
-                return true;
-            continue;
-        }
-
-        case MOp::Extern: {
-            // Scratch call frame + fuse-time-cached function pointer:
-            // no per-call signature lookup, no argument-vector churn.
-            _scratch.op = e.op;
-            _scratch.proc = _proc;
-            _scratch.args.clear();
-            _scratch.args.reserve(e.nargs);
-            for (unsigned i = 0; i < e.nargs; ++i)
-                _scratch.args.push_back(argOf(e, i));
-            OpFnResult r = e.fn ? (*e.fn)(_scratch)
-                                : _eng.opFns.invoke(e.label, _scratch);
-            eq_assert(r.results.size() >= e.nresults,
-                      "op function returned too few results for '",
-                      e.label, "'");
-            for (unsigned i = 0; i < e.nresults; ++i) {
-                eq_assert(!r.results[i].isNone(), "op function for '",
-                          e.label,
-                          "' returned an empty SimValue for result ",
-                          i);
-                bindLocal(_prog.resultPool[e.resultBegin + i],
-                          r.results[i]);
-            }
-            Cycles cycles = std::max(costOf(e), r.cycles);
-            if (chargeFused(e, now, now, cycles, k))
-                return true;
-            continue;
-        }
-
-        // --- events (position-independent, so they fuse too) --------
-        case MOp::ControlStart: {
-            Event *ev = _eng.newEvent(Event::Kind::Start, now);
-            _eng.completeEvent(ev, now);
-            bindLocal(e.result, SimValue::ofEvent(ev->id));
-            continue;
-        }
-        case MOp::ControlAnd:
-        case MOp::ControlOr: {
-            bool is_and = e.code == MOp::ControlAnd;
-            Event *ev = _eng.newEvent(
-                is_and ? Event::Kind::And : Event::Kind::Or, now);
-            std::vector<EventId> deps;
-            deps.reserve(e.nargs);
-            for (unsigned i = 0; i < e.nargs; ++i)
-                deps.push_back(argOf(e, i).asEvent());
-            ev->deps = deps;
-            bindLocal(e.result, SimValue::ofEvent(ev->id));
-            Event *evp = ev;
-            Simulator::Impl *eng = &_eng;
-            auto done = [eng, evp](Cycles dt) {
-                eng->completeEvent(evp, dt);
-            };
-            if (is_and)
-                _eng.whenAllDone(deps, done);
-            else
-                _eng.whenAnyDone(deps, done);
-            continue;
-        }
-        case MOp::Launch: {
-            unsigned ndeps = static_cast<unsigned>(e.imm);
-            Event *ev = _eng.newEvent(Event::Kind::Launch, now);
-            for (unsigned i = 0; i < ndeps; ++i)
-                ev->deps.push_back(argOf(e, i).asEvent());
-            ev->op = e.op;
-            ev->proc = static_cast<Processor *>(
-                argOf(e, ndeps).asComponent());
-            ev->creatorEnv = _env;
-            ev->bodyProg = _prog.childProgs[e.aux];
-            bindLocal(e.result, SimValue::ofEvent(ev->id));
-            _spawned.push_back(ev->id);
-            _eng.enqueueOnProcessor(ev, now);
-            continue;
-        }
-        case MOp::Memcpy: {
-            Event *ev = _eng.newEvent(Event::Kind::Memcpy, now);
-            ev->deps.push_back(argOf(e, 0).asEvent());
-            ev->op = e.op;
-            ev->src = argOf(e, 1).asBuffer();
-            ev->dst = argOf(e, 2).asBuffer();
-            ev->proc =
-                static_cast<Processor *>(argOf(e, 3).asComponent());
-            if (e.hasConn())
-                ev->conn = argOf(e, 4).asConnection();
-            ev->creatorEnv = _env;
-            bindLocal(e.result, SimValue::ofEvent(ev->id));
-            _spawned.push_back(ev->id);
-            _eng.enqueueOnProcessor(ev, now);
-            continue;
-        }
-        case MOp::Await: {
-            if (e.nargs == 0) {
-                // Await-all fast path (see BlockExec::execAwait):
-                // done events are timing-irrelevant (doneTime <= now),
-                // so compact the spawned list to the pending tail and
-                // subscribe to exactly those in one pass.
-                size_t w = 0;
-                for (EventId id : _spawned)
-                    if (!_eng.event(id)->done)
-                        _spawned[w++] = id;
-                _spawned.resize(w);
-                if (w == 0)
-                    continue;
-                _subPc = k + 2; // 1-based: resume at element k + 1
-                if (w == 1) {
-                    _eng.event(_spawned[0])->onDone.push_back(
-                        [this, now](Cycles dt) {
-                            resume(std::max(now, dt));
-                        });
-                    return true;
-                }
-                auto state =
-                    std::make_shared<std::pair<size_t, Cycles>>(w, 0);
-                for (EventId id : _spawned)
-                    _eng.event(id)->onDone.push_back(
-                        [this, now, state](Cycles dt) {
-                            state->second =
-                                std::max(state->second, dt);
-                            if (--state->first == 0)
-                                resume(std::max(now, state->second));
-                        });
-                return true;
-            }
-            std::vector<EventId> ids;
-            ids.reserve(e.nargs);
-            for (unsigned i = 0; i < e.nargs; ++i)
-                ids.push_back(argOf(e, i).asEvent());
-            bool all_done = true;
-            Cycles max_t = now;
-            for (EventId id : ids) {
-                Event *ev = _eng.event(id);
-                if (!ev->done)
-                    all_done = false;
-                else
-                    max_t = std::max(max_t, ev->doneTime);
-            }
-            if (all_done) {
-                now = std::max(now, max_t);
-                continue;
-            }
-            _subPc = k + 2; // 1-based: resume at element k + 1
-            _eng.whenAllDone(ids, [this, now](Cycles dt) {
-                resume(std::max(now, dt));
-            });
-            return true;
-        }
-        case MOp::Return:
-            // Only ever the last element of a group.
-            if (_event) {
-                for (unsigned i = 0; i < e.nargs; ++i)
-                    _event->results.push_back(argOf(e, i));
-            }
-            finish(now);
-            return true;
-
-        default:
-            eq_panic("unexpected opcode inside a fused group");
-        }
-    }
-    ++_pc;
-    return false;
 }
 
 } // namespace sim

@@ -9,12 +9,18 @@
  * re-derives everything per dispatch (handler-table lookup, scope-id
  * walk per operand, cost-table lookup), CompiledExec's whole state is
  * a program counter: control flow follows pre-computed pc targets,
- * operands are pre-resolved (hops, slot) references, and the
- * executing processor's cost-class row is pre-folded into each
- * record. Suspension (timed ops, awaits, stream stalls) schedules a
- * resume at the saved pc, exactly mirroring the interpreter's
- * suspend/resume protocol so event ordering — and therefore traces
- * and reports — is byte-identical.
+ * operands are pre-resolved (hops, slot) references into env-chain
+ * levels resolved once at construction, and the executing processor's
+ * cost-class row is pre-folded into each record. Suspension (timed
+ * ops, awaits, stream stalls) schedules a resume at the saved pc,
+ * exactly mirroring the interpreter's suspend/resume protocol so event
+ * ordering — and therefore traces and reports — is byte-identical.
+ *
+ * Fused and unfused streams run through the same loop and the same
+ * per-opcode code: a fused group is a MOp::Fused header followed by
+ * its member records, so a suspension inside a group simply saves the
+ * pc of the member to resume at. The streams differ only in which
+ * records count a dispatch (kFlagDispatch).
  */
 
 #ifndef EQ_SIM_COMPILED_EXEC_HH
@@ -28,26 +34,25 @@ namespace sim {
 class CompiledExec : public ExecBase {
   public:
     CompiledExec(Simulator::Impl &eng, Event *ev, Processor *proc,
-                 const CompiledBlock &prog, EnvPtr env)
-        : _eng(eng), _event(ev), _proc(proc), _prog(prog),
-          _env(std::move(env)),
-          _cls(proc ? static_cast<unsigned>(proc->costClass())
-                    : static_cast<unsigned>(CostClass::Root))
-    {
-        eq_assert(_env->scopeId == prog.scopeId,
-                  "compiled program bound to a foreign environment");
-    }
+                 const CompiledBlock &prog, EnvPtr env);
 
     /** Re-enter the stream at simulation time @p t (at the saved pc). */
     void resume(Cycles t) override;
 
   private:
+    /** Env-chain levels resolved at construction: an exec's chain never
+     *  changes during its life. Deeper references (absurd launch
+     *  nesting) walk on from the last cached level. */
+    static constexpr uint32_t kCachedLevels = 8;
+
     /** Resolve a pre-compiled value reference along the env chain. */
     SimValue &
     slotAt(const SlotRef &r) const
     {
-        Env *e = _env.get();
-        for (uint32_t h = r.hops; h; --h)
+        if (r.hops < kCachedLevels)
+            return _levels[r.hops]->slots[r.slot];
+        Env *e = _levels[kCachedLevels - 1];
+        for (uint32_t h = r.hops - (kCachedLevels - 1); h; --h)
             e = e->parent.get();
         return e->slots[r.slot];
     }
@@ -68,13 +73,13 @@ class CompiledExec : public ExecBase {
     SimValue &
     local(uint32_t slot) const
     {
-        return _env->slots[slot];
+        return _levels[0]->slots[slot];
     }
 
     void
     bindLocal(uint32_t slot, SimValue v) const
     {
-        _env->slots[slot] = std::move(v);
+        local(slot) = std::move(v);
     }
 
     /** Index operands land in a stack array (no per-access heap
@@ -82,26 +87,18 @@ class CompiledExec : public ExecBase {
      *  type system long before execution. */
     static constexpr unsigned kMaxRank = 8;
 
-    /** Gather the trailing index operands [first, nargs) of @p m. */
-    unsigned
-    gatherIndices(const MicroOp &m, unsigned first, int64_t *out) const
-    {
-        const unsigned n = m.nargs - first;
-        eq_assert(n <= kMaxRank, "index rank exceeds kMaxRank");
-        for (unsigned i = 0; i < n; ++i)
-            out[i] = arg(m, first + i).asInt();
-        return n;
-    }
-
-    /** Index operands of @p m, honoring the fuse pass's constant-index
-     *  folding: pre-folded records read straight from the immediate
-     *  pool, others gather from slots into @p buf. */
+    /** Index operands [first, nargs) of @p m, honoring the fuse pass's
+     *  constant-index folding: pre-folded records read straight from
+     *  the immediate pool, others gather from slots into @p buf. */
     const int64_t *
     recordIndices(const MicroOp &m, unsigned first, int64_t *buf) const
     {
         if (m.flags & kFlagImmIdx)
             return _prog.immIdx.data() + m.aux;
-        gatherIndices(m, first, buf);
+        const unsigned n = m.nargs - first;
+        eq_assert(n <= kMaxRank, "index rank exceeds kMaxRank");
+        for (unsigned i = 0; i < n; ++i)
+            buf[i] = arg(m, first + i).asInt();
         return buf;
     }
 
@@ -115,8 +112,6 @@ class CompiledExec : public ExecBase {
         return c;
     }
 
-    std::string traceLabel(const MicroOp &m) const;
-
     /** Account for an op occupying the processor from @p start for
      *  @p cycles; advances the pc. @return true when the stream must
      *  suspend (the op ends later than @p now *and* another event is
@@ -128,32 +123,6 @@ class CompiledExec : public ExecBase {
     bool chargeAfter(const MicroOp &m, Cycles &now, Cycles start,
                      Cycles cycles);
 
-    /** Execute the superinstruction @p m (MOp::Fused) from the saved
-     *  sub-position. Each constituent element is accounted exactly like
-     *  the record it replaced — per-element cost, memory/connection
-     *  acquisition, trace lines, opsExecuted, and suspend decisions —
-     *  so fused and unfused streams are byte-identical; only the
-     *  jump-table dispatch (and dead tensor materialization) is saved.
-     *  @return true when the group suspended (resume re-enters it at
-     *  @ref _subPc); false when it completed (pc already advanced). */
-    bool execFused(const MicroOp &m, Cycles &now);
-
-    /** Per-element chargeAfter twin: same accounting and time-advance
-     *  fast path, but suspension saves the element position instead of
-     *  advancing the pc. */
-    bool chargeFused(const FusedElem &e, Cycles &now, Cycles start,
-                     Cycles cycles, uint32_t k);
-
-    /** Pre-folded cost of fused element @p e on the executing class. */
-    Cycles
-    costOf(const FusedElem &e) const
-    {
-        Cycles c = e.cost[_cls];
-        if (c == CostModel::kDynamic)
-            c = CostModel::linalgCycles(e.op);
-        return c;
-    }
-
     void finish(Cycles t);
 
     Simulator::Impl &_eng;
@@ -161,17 +130,11 @@ class CompiledExec : public ExecBase {
     Processor *_proc; ///< executing processor (root proc at top level)
     const CompiledBlock &_prog;
     EnvPtr _env;
+    Env *_levels[kCachedLevels] = {}; ///< _env and its first ancestors
     unsigned _cls;      ///< pre-resolved cost-class row index
     uint32_t _pc = 0;
-    /** Resume position inside a suspended MOp::Fused group, 1-based:
-     *  0 = enter the group fresh, k+1 = resume at element k. The
-     *  bias keeps "fresh entry" distinguishable from "suspended at
-     *  element 0" (a group-leading stream read waiting on its
-     *  producer), so re-entries never re-count the group dispatch.
-     *  Only nonzero while suspended at _pc. */
-    uint32_t _subPc = 0;
-    /** Scratch equeue.op call frame: cleared per call, so repeated
-     *  extern elements reuse the argument vector's capacity. */
+    /** Scratch equeue.op call frame: emptied after each call, so
+     *  repeated extern records reuse the argument vector's capacity. */
     OpCall _scratch;
     std::vector<EventId> _spawned;
     bool _finished = false;

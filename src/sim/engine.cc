@@ -52,24 +52,20 @@ resolveFusion(Fusion requested)
              "'");
 }
 
-/** Resolve the launch-env pooling escape hatch against
- *  EQ_SIM_ENV_POOL (default: on). Pooling is a pure allocation
- *  optimization — reports and traces are identical either way — so
- *  the seam exists for bisection, not configuration. */
-bool
-resolveEnvPool()
-{
-    const char *env = std::getenv("EQ_SIM_ENV_POOL");
-    if (!env || !*env || std::strcmp(env, "1") == 0 ||
-        std::strcmp(env, "on") == 0)
-        return true;
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0)
-        return false;
-    eq_fatal("EQ_SIM_ENV_POOL must be '0'/'off' or '1'/'on', got '",
-             env, "'");
-}
-
 } // namespace
+
+BudgetExceeded::BudgetExceeded(uint64_t max_ops)
+    : std::runtime_error("op budget exceeded: the run executed more than " +
+                         std::to_string(max_ops) +
+                         " ops (EngineOptions::maxOps)"),
+      maxOps(max_ops)
+{}
+
+void
+throwBudgetExceeded(uint64_t max_ops)
+{
+    throw BudgetExceeded(max_ops);
+}
 
 SimReport
 Simulator::Impl::buildReport(double wall_seconds) const
@@ -145,7 +141,6 @@ Simulator::Simulator(EngineOptions opts) : _impl(std::make_unique<Impl>())
     _impl->opts = opts;
     _impl->backend = resolveBackend(opts.backend);
     _impl->fuse = resolveFusion(opts.fuse);
-    _impl->envPool = resolveEnvPool();
     _impl->traceData.setEnabled(opts.enableTrace);
 }
 
@@ -161,12 +156,6 @@ bool
 Simulator::fusionEnabled() const
 {
     return _impl->fuse;
-}
-
-bool
-Simulator::envPoolEnabled() const
-{
-    return _impl->envPool;
 }
 
 Trace &

@@ -22,6 +22,7 @@
 #define EQ_SIM_ENGINE_HH
 
 #include <memory>
+#include <stdexcept>
 
 #include "ir/operation.hh"
 #include "sim/component.hh"
@@ -68,7 +69,8 @@ struct EngineOptions {
     bool enableTrace = false;
     /** Run the IR verifier before simulating. */
     bool verifyModule = true;
-    /** Runaway-program guard: abort after this many interpreted ops. */
+    /** Runaway-program guard: a run that executes more ops than this
+     *  throws BudgetExceeded. */
     uint64_t maxOps = 500'000'000;
     /** Execution backend; Auto resolves EQ_SIM_BACKEND at Simulator
      *  construction. */
@@ -76,6 +78,15 @@ struct EngineOptions {
     /** Superinstruction fusion (compiled backend only); Auto resolves
      *  EQ_SIM_FUSE at Simulator construction (default on). */
     Fusion fuse = Fusion::Auto;
+};
+
+/**
+ * Thrown by a run that exceeds EngineOptions::maxOps. The Simulator
+ * stays usable: the next run starts from a full per-run reset.
+ */
+struct BudgetExceeded : std::runtime_error {
+    explicit BudgetExceeded(uint64_t max_ops);
+    uint64_t maxOps;
 };
 
 /**
@@ -106,11 +117,6 @@ class Simulator {
     /** The resolved superinstruction-fusion switch (never
      *  Fusion::Auto). Only affects the compiled backend. */
     bool fusionEnabled() const;
-
-    /** The resolved launch-env pooling switch (EQ_SIM_ENV_POOL,
-     *  default on). Pure allocation optimization — identical reports
-     *  and traces either way; the seam exists for bisection. */
-    bool envPoolEnabled() const;
 
     /**
      * Lower every region of @p module to micro-op streams now, from

@@ -46,6 +46,11 @@ namespace sim {
 
 class BlockExec;
 
+/** Throw BudgetExceeded; kept out of line and cold so the op-budget
+ *  check in both execution loops stays one compare and branch. */
+[[noreturn]] __attribute__((cold, noinline)) void
+throwBudgetExceeded(uint64_t max_ops);
+
 /** Scheduled-work callback. Small-buffer-optimized: the engine's
  *  callbacks capture at most a this-pointer and a few counters, so
  *  scheduling a suspended op never allocates (ROADMAP "Event-core
@@ -266,8 +271,6 @@ struct Simulator::Impl {
     ComponentFactory factory;
 
     // --- environment pool ---------------------------------------------
-    /** Resolved EQ_SIM_ENV_POOL escape hatch (default: on). */
-    bool envPool = true;
     /** Recycled interpretation environments, free-listed by slot count
      *  so a reacquired env's slot vector needs no reallocation. Every
      *  launch issue draws from here instead of allocating (the hottest
@@ -396,6 +399,11 @@ struct Simulator::Impl {
      *  exact same ordering — the total execution order (and therefore
      *  every trace byte) is identical to the single-heap schedule. */
     std::deque<HeapItem> nowQ;
+    /** Nesting depth of completeEvent callbacks. Blocks the
+     *  time-advance fast path of any exec those callbacks resume: the
+     *  completing launch or copy still issues its processor's next
+     *  event at the completion time once the callbacks return. */
+    uint32_t completing = 0;
     uint64_t seqCounter = 0;
     Cycles now = 0;
     Cycles endTime = 0;
@@ -431,11 +439,13 @@ struct Simulator::Impl {
 
     /** True when no scheduled work exists at or before @p end: the
      *  gate for every time-advance fast path. A non-empty nowQ always
-     *  blocks (its items fire at a time <= now <= end). */
+     *  blocks (its items fire at a time <= now <= end), and so does a
+     *  completion callback in progress (@ref completing). */
     bool
     nothingPendingBefore(Cycles end) const
     {
-        return nowQ.empty() && (heap.empty() || heap.front().t > end);
+        return completing == 0 && nowQ.empty() &&
+               (heap.empty() || heap.front().t > end);
     }
 
     void

@@ -25,6 +25,7 @@ Simulator::Impl::reset(bool keep_numbering)
     streamWaiters.clear();
     heap.clear();
     nowQ.clear();
+    completing = 0;
     seqCounter = 0;
     now = 0;
     endTime = 0;
@@ -71,8 +72,13 @@ Simulator::Impl::completeEvent(Event *ev, Cycles t)
     ++eventsExecuted;
     auto callbacks = std::move(ev->onDone);
     ev->onDone.clear();
+    // An exec a callback resumes (an await on this event) must not
+    // advance the clock in place: the completing side still issues the
+    // processor's next event at `t` once the callbacks return.
+    ++completing;
     for (auto &cb : callbacks)
         cb(t);
+    --completing;
     // The creator environment is only needed up to completion (issue
     // reads captures from it, finishLaunch publishes results into it,
     // both before this point); dropping the reference now lets pooled

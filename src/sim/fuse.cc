@@ -7,8 +7,9 @@
  *  1. folds constant index operands (slots defined by arith.constant in
  *     the same scope) into immediate offsets on load/store/read/write
  *     records,
- *  2. collapses maximal runs of adjacent fusible records into one
- *     MOp::Fused record per run, and
+ *  2. groups maximal runs of adjacent fusible records: a MOp::Fused
+ *     header, which counts the run's one dispatch, followed by the
+ *     run's records, which count only their ops, and
  *  3. inside each run, proves which whole-cell reads may bind a scalar
  *     instead of materializing a 1-element tensor: the read's result
  *     must be used only later in the same run, and every consumer must
@@ -17,9 +18,10 @@
  *     whitelisted signatures such as the built-in "mac").
  *
  * The rewritten stream is relocatable like the input: loop Begin/End
- * targets are remapped through an old-pc -> new-pc table. Branch
- * targets always land on run heads because every control record is
- * non-fusible, so a run can never straddle one.
+ * targets are remapped through an old-pc -> new-pc table (a grouped
+ * record maps to its group's header). Branch targets always land on
+ * run heads because every control record is non-fusible, so a run can
+ * never straddle one.
  */
 
 #include "sim/fuse.hh"
@@ -66,11 +68,10 @@ isFusible(const MicroOp &m)
         return true;
     case MOp::Read:
     case MOp::Write:
-        // Connection-carrying variants fuse too: the fused element
-        // carries the shifted operand layout (kFlagHasConn) and the
-        // executor performs the channel acquire/transfer accounting
-        // in-group, suspending mid-group on a stall exactly like any
-        // other costed element.
+        // Connection-carrying variants fuse too: a grouped record
+        // runs the same channel acquire/transfer accounting as an
+        // unfused one, suspending mid-group on a stall exactly like
+        // any other costed record.
         return true;
     default:
         return false;
@@ -114,9 +115,9 @@ markDescendantUses(const CompiledBlock &prog, uint32_t depth,
 
 class Fuser {
   public:
-    Fuser(const CompiledBlock &in, const OpFunctionRegistry &opFns,
+    Fuser(const CompiledBlock &in,
           const std::vector<const CompiledBlock *> &childProgs)
-        : _in(in), _opFns(opFns)
+        : _in(in)
     {
         _out = std::make_unique<CompiledBlock>();
         _out->args = in.args;
@@ -130,6 +131,7 @@ class Fuser {
         _out->root = in.root;
         _out->scopeId = in.scopeId;
         _out->numSlots = in.numSlots;
+        _out->maxHops = in.maxHops;
         analyze();
     }
 
@@ -147,7 +149,7 @@ class Fuser {
             // nothing can follow it inside one).
             if (j > i && j < n && _in.code[j].code == MOp::Return)
                 ++j;
-            if (j - i >= 2 && fusibleHops(i, j)) {
+            if (j - i >= 2) {
                 for (size_t p = i; p < j; ++p)
                     oldToNew[p] =
                         static_cast<uint32_t>(_out->code.size());
@@ -155,7 +157,7 @@ class Fuser {
                 i = j;
                 continue;
             }
-            // Too short (or too deep) to fuse: copy records through,
+            // Too short to fuse: copy records through,
             // still applying the standalone constant-index fold.
             const size_t copy_end = std::max(j, i + 1);
             for (; i < copy_end; ++i) {
@@ -263,20 +265,6 @@ class Fuser {
         ++stats.immFolded;
     }
 
-    /** A run is only fused when the group-entry env-level cache can
-     *  cover every operand reference. */
-    bool
-    fusibleHops(size_t i, size_t j) const
-    {
-        for (size_t p = i; p < j; ++p) {
-            const MicroOp &m = _in.code[p];
-            for (uint32_t a = 0; a < m.nargs; ++a)
-                if (_in.args[m.argsBegin + a].hops > kMaxFusedHops)
-                    return false;
-        }
-        return true;
-    }
-
     /** May the whole-cell read at @p pc (result @p slot) skip tensor
      *  materialization? Every use must come later inside [pc+1, end)
      *  and treat a 1-element tensor and its scalar identically. */
@@ -313,60 +301,31 @@ class Fuser {
     void
     emitGroup(size_t i, size_t j, FuseStats &stats)
     {
-        FusedGroup g;
-        g.elems.reserve(j - i);
+        MicroOp header;
+        header.code = MOp::Fused;
+        header.flags = kFlagDispatch;
+        header.op = _in.code[i].op;
+        _out->code.push_back(header);
         for (size_t p = i; p < j; ++p) {
             MicroOp m = _in.code[p];
+            // The header counts the group's dispatch; members count
+            // their ops only (opsExecuted parity).
+            m.flags &= ~kFlagDispatch;
             foldRecordIndices(m, stats);
-            FusedElem e;
-            e.code = m.code;
-            e.flags = m.flags;
-            e.nargs = m.nargs;
-            e.argsBegin = m.argsBegin;
-            e.result = m.result;
-            e.aux = m.aux;
-            e.imm = m.imm;
-            e.op = m.op;
-            e.cost = m.cost;
-            if (m.flags & kFlagImmIdx) {
-                e.immBegin = m.aux;
-                e.aux = 0;
-            }
-            for (uint32_t a = 0; a < m.nargs; ++a)
-                g.maxHops = std::max(
-                    g.maxHops, _in.args[m.argsBegin + a].hops);
-            if (m.code == MOp::Extern) {
-                e.resultBegin = m.aux;
-                e.nresults = m.op->numResults();
-                e.label = m.op->strAttr("signature");
-                e.fn = _opFns.find(e.label);
-            } else {
-                e.label = m.op ? m.op->name() : "?";
-            }
             if (m.code == MOp::Read && !m.hasConn() && m.nargs == 1 &&
                 m.result != kNoSlot &&
                 mayScalarize(static_cast<uint32_t>(p), m.result,
                              static_cast<uint32_t>(j))) {
-                e.flags |= kFlagScalarize;
+                m.flags |= kFlagScalarize;
                 ++stats.scalarized;
             }
-            g.elems.push_back(std::move(e));
+            _out->code.push_back(m);
         }
-
-        MicroOp f;
-        f.code = MOp::Fused;
-        // Elements count themselves (opsExecuted parity), so the
-        // group record itself is uncounted.
-        f.aux = static_cast<uint32_t>(_out->fusedGroups.size());
-        f.op = _in.code[i].op;
-        _out->fusedGroups.push_back(std::move(g));
-        _out->code.push_back(std::move(f));
         ++stats.groups;
         stats.fusedRecords += static_cast<uint32_t>(j - i);
     }
 
     const CompiledBlock &_in;
-    const OpFunctionRegistry &_opFns;
     std::unique_ptr<CompiledBlock> _out;
     std::vector<int64_t> _constOf;    ///< slot -> consts index (-1)
     std::vector<char> _escapes;       ///< slot referenced by descendants
@@ -376,14 +335,14 @@ class Fuser {
 } // namespace
 
 std::unique_ptr<CompiledBlock>
-optimizeProgram(const CompiledBlock &in, const OpFunctionRegistry &opFns,
+optimizeProgram(const CompiledBlock &in,
                 const std::vector<const CompiledBlock *> &childProgs,
                 FuseStats *stats)
 {
     eq_assert(childProgs.size() == in.childProgs.size(),
               "fusion child-program mapping must be index-aligned");
     FuseStats local;
-    Fuser fuser(in, opFns, childProgs);
+    Fuser fuser(in, childProgs);
     auto out = fuser.run(local);
     if (stats)
         *stats = local;
@@ -403,7 +362,7 @@ Simulator::Impl::fusedProgramFor(ir::Block *root)
     children.reserve(orig.childProgs.size());
     for (const CompiledBlock *c : orig.childProgs)
         children.push_back(&fusedProgramFor(c->root));
-    auto opt = optimizeProgram(orig, opFns, children);
+    auto opt = optimizeProgram(orig, children);
     return *fusedPrograms.emplace(root, std::move(opt)).first->second;
 }
 

@@ -6,37 +6,31 @@
  * Manticore, arXiv:2301.09413).
  *
  * After ModuleCompiler lowering (sim/compile.cc), a scope's stream
- * still pays one jump-table dispatch per IR op; in the systolic hot
- * loop that dispatch — plus the tensor materialization every
- * whole-cell read performs and the signature-string lookup every
- * `equeue.op` performs — dominates. optimizeProgram() rewrites a
- * CompiledBlock so that
+ * still pays one counted dispatch per IR op, a tensor materialization
+ * per whole-cell read, and index gathering per memory access.
+ * optimizeProgram() rewrites a CompiledBlock so that
  *
  *  - maximal runs of adjacent simple records (reads, writes, stream
- *    ops, extern calls, scalar arith, constants) collapse into single
- *    MOp::Fused superinstruction records carrying the constituent
- *    elements with their pre-combined cost rows — one dispatch then
- *    executes the whole group (Read→Mac→Write, Read→Write copies,
- *    StreamRead→compute→StreamWrite, ...);
+ *    ops, extern calls, scalar arith, constants, event ops) become
+ *    groups: a MOp::Fused header that counts the run's one dispatch,
+ *    followed by the run's own records unchanged in kind (Read→Mac→
+ *    Write PE bodies, Read→Write copies, StreamRead→compute→
+ *    StreamWrite, ...). The executor runs members with the same code
+ *    as any record — one implementation per opcode;
  *  - whole-cell reads whose every use is inside the group and provably
  *    scalar-compatible are flagged kFlagScalarize, eliminating the
  *    per-read tensor allocation;
- *  - extern elements cache their registered op-function pointer (no
- *    per-call signature lookup);
- *  - operand env-hop chains are coalesced: the executor resolves each
- *    chain level once per group entry instead of walking parent links
- *    per operand;
  *  - index operands that are same-scope constants fold into immediate
- *    offsets (kFlagImmIdx), on fused elements and standalone
+ *    offsets (kFlagImmIdx), on grouped and standalone
  *    load/store/read/write records alike.
  *
  * Observational equivalence is preserved by construction: every
- * element executes with the same per-op cost accounting, memory and
- * connection acquisition order, suspend/resume decisions, opsExecuted
- * accounting, and trace records as the record it replaced (fused
- * groups suspend and resume mid-group exactly where the unfused stream
- * would). Reports, traces, and goldens are byte-identical; only the
- * dispatch count — surfaced as SimReport::dispatchCount — drops.
+ * member executes exactly as the record it is, with the same per-op
+ * cost accounting, memory and connection acquisition order,
+ * suspend/resume decisions (a suspended group resumes at the member
+ * the unfused stream would resume at), opsExecuted accounting, and
+ * trace records. Reports, traces, and goldens are byte-identical; only
+ * the dispatch count — surfaced as SimReport::dispatchCount — drops.
  */
 
 #ifndef EQ_SIM_FUSE_HH
@@ -49,20 +43,17 @@
 namespace eq {
 namespace sim {
 
-class OpFunctionRegistry;
-
 /** Statistics of one optimizeProgram() run (for tests/diagnostics). */
 struct FuseStats {
-    uint32_t groups = 0;       ///< superinstructions emitted
+    uint32_t groups = 0;       ///< group headers emitted
     uint32_t fusedRecords = 0; ///< original records they absorbed
     uint32_t scalarized = 0;   ///< cell reads flagged kFlagScalarize
-    uint32_t immFolded = 0;    ///< records/elems with folded indices
+    uint32_t immFolded = 0;    ///< records with folded indices
 };
 
 /**
  * Rewrite @p in with superinstruction fusion and stream optimizations.
  * @param in        the ModuleCompiler-lowered program
- * @param opFns     registry used to cache extern function pointers
  * @param childProg maps each in.childProgs entry to the program the
  *                  optimized block should pin on its Launch records
  *                  (the optimized child); identity when fusion of
@@ -70,7 +61,7 @@ struct FuseStats {
  * @param stats     optional out-param
  */
 std::unique_ptr<CompiledBlock>
-optimizeProgram(const CompiledBlock &in, const OpFunctionRegistry &opFns,
+optimizeProgram(const CompiledBlock &in,
                 const std::vector<const CompiledBlock *> &childProgs,
                 FuseStats *stats = nullptr);
 

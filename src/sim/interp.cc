@@ -82,15 +82,6 @@ EnvPtr
 Simulator::Impl::acquireEnv(uint32_t scope_id, uint32_t num_slots,
                             EnvPtr parent)
 {
-    if (!envPool) {
-        // Escape hatch (EQ_SIM_ENV_POOL=0): the pre-pooling per-launch
-        // allocation, for bisection.
-        auto env = std::make_shared<Env>();
-        env->scopeId = scope_id;
-        env->slots.resize(num_slots);
-        env->parent = std::move(parent);
-        return env;
-    }
     Env *raw;
     auto it = envFreeList.find(num_slots);
     if (it != envFreeList.end() && !it->second.empty()) {
@@ -284,8 +275,7 @@ BlockExec::resume(Cycles t)
         ir::Operation *op = *f.it;
         ++_eng.dispatchCount;
         if (++_eng.opsExecuted > _eng.opts.maxOps)
-            eq_fatal("interpreted op budget exceeded (", _eng.opts.maxOps,
-                     "); runaway program?");
+            throwBudgetExceeded(_eng.opts.maxOps);
         Step s = dispatch(op, now);
         if (s == Step::Suspend)
             return;

@@ -15,8 +15,9 @@
  * Failures speak the journal's structured vocabulary on stderr —
  *   eqsweep: error: {"code":"journal_header_mismatch","message":...}
  * — and the exit code mirrors it: 0 ok, 1 I/O, 2 usage or bad_request
- * (a spec, config or axis that fails validation; the message names the
- * field), 3 header mismatch, 4 corrupt journal, 5 incomplete merge.
+ * (a spec, config or axis that fails validation, the message naming the
+ * field, or a point that exceeds the engine's op budget), 3 header
+ * mismatch, 4 corrupt journal, 5 incomplete merge.
  * Dispatch scripts branch on these, never on prose.
  */
 
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "base/fsutil.hh"
+#include "base/stringutil.hh"
 #include "serve/models.hh"
 #include "sweep/shard.hh"
 
@@ -41,6 +43,9 @@ constexpr int kExitUsage = 2;
 constexpr int kExitHeaderMismatch = 3;
 constexpr int kExitCorrupt = 4;
 constexpr int kExitIncomplete = 5;
+
+/** A dispatch never needs more shards than a grid can have points. */
+constexpr int64_t kMaxShards = serve::SweepSpec::kMaxPoints;
 
 void
 usage(const char *argv0)
@@ -418,7 +423,14 @@ main(int argc, char **argv)
         } else if (arg == "--axis") {
             args.axisSpecs.push_back(value());
         } else if (arg == "--threads") {
-            args.threads = unsigned(std::atoi(value()));
+            int64_t n = 0;
+            if (!parseIntInRange(value(), 1, kMaxWorkerThreads, &n)) {
+                std::fprintf(stderr,
+                             "eqsweep: bad --threads (want 1..%lld)\n",
+                             static_cast<long long>(kMaxWorkerThreads));
+                return kExitUsage;
+            }
+            args.threads = static_cast<unsigned>(n);
         } else if (arg == "--backend") {
             const std::string mode = value();
             if (mode == "auto")
@@ -454,11 +466,14 @@ main(int argc, char **argv)
         } else if (arg == "--fsync") {
             args.durability.fsyncEachRecord = true;
         } else if (arg == "--emit-shards") {
-            args.emitShards = std::atoi(value());
-            if (args.emitShards < 1) {
-                std::fprintf(stderr, "eqsweep: bad --emit-shards\n");
+            int64_t n = 0;
+            if (!parseIntInRange(value(), 1, kMaxShards, &n)) {
+                std::fprintf(stderr,
+                             "eqsweep: bad --emit-shards (want 1..%lld)\n",
+                             static_cast<long long>(kMaxShards));
                 return kExitUsage;
             }
+            args.emitShards = static_cast<int>(n);
         } else if (arg == "--shard-dir") {
             args.shardDir = value();
         } else if (arg == "--shard") {
@@ -478,19 +493,27 @@ main(int argc, char **argv)
         }
     }
 
-    if (!args.shardManifest.empty())
-        return shardMode(args);
-    if (!args.mergeDir.empty())
-        return mergeMode(args);
+    try {
+        if (!args.shardManifest.empty())
+            return shardMode(args);
+        if (!args.mergeDir.empty())
+            return mergeMode(args);
 
-    if (args.specPath.empty() && args.model.empty()) {
-        usage(argv[0]);
+        if (args.specPath.empty() && args.model.empty()) {
+            usage(argv[0]);
+            return kExitUsage;
+        }
+        serve::SweepSpec spec;
+        if (int rc = buildSpec(args, &spec))
+            return rc;
+        if (args.emitShards > 0)
+            return emitShardsMode(args, spec);
+        return runWhole(args, spec);
+    } catch (const sim::BudgetExceeded &e) {
+        // A point that outruns the engine's op budget is a request the
+        // engine refuses, like an invalid config: points finished
+        // before it stay journaled.
+        structuredError("bad_request", e.what());
         return kExitUsage;
     }
-    serve::SweepSpec spec;
-    if (int rc = buildSpec(args, &spec))
-        return rc;
-    if (args.emitShards > 0)
-        return emitShardsMode(args, spec);
-    return runWhole(args, spec);
 }

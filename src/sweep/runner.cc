@@ -7,13 +7,17 @@
 
 #include "sweep/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/stringutil.hh"
 
 namespace eq {
 namespace sweep {
@@ -23,21 +27,20 @@ SweepRunner::SweepRunner(RunnerOptions opts) : _opts(opts) {}
 unsigned
 SweepRunner::threadsFor(size_t num_points) const
 {
-    unsigned n = _opts.threads;
+    int64_t n = _opts.threads;
     if (n == 0) {
         if (const char *env = std::getenv("EQ_SWEEP_THREADS")) {
-            long v = std::strtol(env, nullptr, 10);
-            if (v > 0)
-                n = static_cast<unsigned>(v);
-            else
-                eq_warn("ignoring invalid EQ_SWEEP_THREADS='", env, "'");
+            if (!parseIntInRange(env, 1, kMaxWorkerThreads, &n))
+                eq_warn("ignoring invalid EQ_SWEEP_THREADS='", env,
+                        "' (want 1..", kMaxWorkerThreads, ")");
         }
     }
     if (n == 0)
-        n = std::max(1u, std::thread::hardware_concurrency());
-    if (num_points > 0 && n > num_points)
-        n = static_cast<unsigned>(num_points);
-    return std::max(1u, n);
+        n = std::thread::hardware_concurrency();
+    n = std::min(n, kMaxWorkerThreads);
+    if (num_points > 0 && static_cast<size_t>(n) > num_points)
+        n = static_cast<int64_t>(num_points);
+    return static_cast<unsigned>(std::max<int64_t>(1, n));
 }
 
 Table
@@ -57,9 +60,20 @@ SweepRunner::run(const std::vector<Point> &points,
 
     std::vector<std::vector<Cell>> rows(points.size());
     std::atomic<size_t> cursor{0};
+    // The first exception a point throws stops the hand-out of further
+    // points and is rethrown on the caller once every worker joined.
+    std::exception_ptr failure;
+    std::mutex failureMu;
     auto work = [&](unsigned worker) {
-        for (size_t i; (i = cursor.fetch_add(1)) < points.size();)
-            rows[i] = fn(points[i], worker);
+        try {
+            for (size_t i; (i = cursor.fetch_add(1)) < points.size();)
+                rows[i] = fn(points[i], worker);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(failureMu);
+            if (!failure)
+                failure = std::current_exception();
+            cursor.store(points.size());
+        }
     };
 
     unsigned nthreads = threadsFor(points.size());
@@ -75,6 +89,8 @@ SweepRunner::run(const std::vector<Point> &points,
         for (auto &t : pool)
             t.join();
     }
+    if (failure)
+        std::rethrow_exception(failure);
 
     // Assemble in point-index order: the table is independent of how
     // points were interleaved across workers.

@@ -13,8 +13,12 @@
  * table is byte-identical for any thread count.
  *
  * Thread-count resolution: Options::threads when nonzero, else the
- * EQ_SWEEP_THREADS environment variable, else hardware concurrency;
- * always clamped to [1, number of points].
+ * EQ_SWEEP_THREADS environment variable (1..kMaxWorkerThreads), else
+ * hardware concurrency; always clamped to [1, min(kMaxWorkerThreads,
+ * number of points)].
+ *
+ * Failure: the first exception a point throws stops the hand-out of
+ * further points; run() rethrows it once every worker has joined.
  */
 
 #ifndef EQ_SWEEP_RUNNER_HH

@@ -11,8 +11,9 @@
  * Hardening coverage: structured error codes, deadline_ms expiry,
  * client-disconnect-mid-sweep cancellation (the queues drain and a
  * later client still gets byte-identical cache-warm results),
- * backpressure with retry_after_ms, oversized-frame rejection, and
- * retry/backoff recovery through injected faults.
+ * backpressure with retry_after_ms, oversized-frame rejection, the op
+ * budget as a non-retryable bad_request, and retry/backoff recovery
+ * through injected faults.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include "serve/faults.hh"
 #include "serve/models.hh"
 #include "serve/server.hh"
+#include "sim/session.hh"
 
 namespace {
 
@@ -528,6 +530,68 @@ TEST(ServeServer, BuildFaultIsStructuredAndRetryable)
     // the same connection retries and gets a working program.
     auto result = client.simulate(key);
     EXPECT_TRUE(result.ok) << result.error;
+}
+
+/** A request whose run exceeds the engine's op budget answers a
+ *  structured, non-retryable bad_request naming the budget; the worker
+ *  survives and keeps serving byte-identical reports from the cache. */
+TEST(ServeServer, OpBudgetIsStructuredBadRequest)
+{
+    serve::ModelKey key = serve::defaultKey(serve::ModelKind::Systolic);
+    serve::ModelKey big = key;
+    big.systolic.n *= 2;
+    sim::Session ref;
+    ref.rebuild([&](ir::Context &ctx) { return key.build(ctx); });
+    const uint64_t budget = ref.run().opsExecuted;
+
+    ServerOptions opts;
+    opts.workers = 1;
+    opts.engine.maxOps = budget;
+    Server server(opts);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    Client client;
+    connectTo(server, &client);
+
+    auto first = client.simulate(key);
+    ASSERT_TRUE(first.ok) << first.error;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        auto over = client.simulate(big);
+        EXPECT_FALSE(over.ok);
+        EXPECT_EQ(over.code, ErrorCode::BadRequest);
+        EXPECT_FALSE(serve::errorCodeRetryable(over.code));
+        EXPECT_NE(over.error.find("op budget"), std::string::npos)
+            << over.error;
+        EXPECT_NE(over.error.find(std::to_string(budget)),
+                  std::string::npos)
+            << over.error;
+    }
+    auto again = client.simulate(key);
+    ASSERT_TRUE(again.ok) << again.error;
+    EXPECT_TRUE(again.cached);
+    EXPECT_EQ(deterministicPart(again.report),
+              deterministicPart(first.report));
+}
+
+/** The in-process sweep eqsweep runs: a point over the op budget on a
+ *  multi-threaded sweep reaches the caller as BudgetExceeded, after
+ *  the workers joined. */
+TEST(ServeServer, OpBudgetStopsLocalSweep)
+{
+    serve::SweepSpec spec = twoAxisSpec();
+    sweep::Grid grid = spec.grid(); // points refer to their grid
+    std::vector<sweep::Point> points = grid.points();
+    serve::ModelKey smallest = spec.keyAt(points.front());
+    sim::Session ref;
+    ref.rebuild([&](ir::Context &ctx) { return smallest.build(ctx); });
+    sim::EngineOptions engine;
+    engine.maxOps = ref.run().opsExecuted;
+
+    sweep::Table table{spec.schema()};
+    std::string err;
+    EXPECT_THROW(serve::runLocalSweepDurable(spec, points, 2, engine, {},
+                                             &table, nullptr, &err),
+                 sim::BudgetExceeded);
 }
 
 TEST(ServeServer, OversizedFrameAnsweredWithStructuredError)

@@ -120,4 +120,43 @@ TEST(SimSession, MatchesFreshSimulator)
     EXPECT_EQ(sessionReport.eventsExecuted, fresh.eventsExecuted);
 }
 
+/** A run over EngineOptions::maxOps throws BudgetExceeded instead of
+ *  exiting; the Session stays usable — the same pinned program throws
+ *  again identically, and a smaller program runs to the report a fresh
+ *  Session gives. */
+TEST(SimSession, BudgetExceededThrowsAndSessionStaysUsable)
+{
+    scalesim::Config small;
+    small.ah = small.aw = 2;
+    scalesim::Config big = small;
+    big.n *= 2;
+    sim::Session ref;
+    ref.rebuild(systolicBuilder(small));
+    const sim::SimReport want = ref.run();
+    ref.rebuild(systolicBuilder(big));
+    ASSERT_GT(ref.run().opsExecuted, want.opsExecuted);
+
+    sim::EngineOptions opts;
+    opts.maxOps = want.opsExecuted; // exactly enough for `small`
+    sim::Session session(opts);
+    session.rebuild(systolicBuilder(big));
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        try {
+            session.run();
+            ADD_FAILURE() << "expected BudgetExceeded";
+        } catch (const sim::BudgetExceeded &e) {
+            EXPECT_EQ(e.maxOps, opts.maxOps);
+            EXPECT_NE(std::string(e.what()).find(
+                          std::to_string(opts.maxOps)),
+                      std::string::npos);
+        }
+    }
+    session.rebuild(systolicBuilder(small));
+    sim::SimReport got = session.run();
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.opsExecuted, want.opsExecuted);
+    EXPECT_EQ(got.eventsExecuted, want.eventsExecuted);
+    EXPECT_EQ(got.dispatchCount, want.dispatchCount);
+}
+
 } // namespace

@@ -18,9 +18,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "bench_util.hh"
+#include "base/stringutil.hh"
 #include "sweep/runner.hh"
 
 namespace {
@@ -112,6 +114,55 @@ TEST(SweepRunnerTest, ThreadResolutionPrecedence)
     sweep::RunnerOptions many;
     many.threads = 64;
     EXPECT_EQ(sweep::SweepRunner(many).threadsFor(3), 3u);
+}
+
+/** Thread counts are bounded by kMaxWorkerThreads whatever asks for
+ *  more (only the resolved count is checked: nothing is started). */
+TEST(SweepRunnerTest, ThreadCountBoundedBelowOsLimit)
+{
+    sweep::RunnerOptions huge;
+    huge.threads = 100000;
+    EXPECT_EQ(sweep::SweepRunner(huge).threadsFor(1000000),
+              unsigned(kMaxWorkerThreads));
+    for (const char *bad : {"100000", "-1", "0", "4x", " 4", ""}) {
+        setenv("EQ_SWEEP_THREADS", bad, 1);
+        EXPECT_LE(sweep::SweepRunner().threadsFor(1000000),
+                  unsigned(kMaxWorkerThreads))
+            << bad;
+    }
+    setenv("EQ_SWEEP_THREADS", "256", 1);
+    EXPECT_EQ(sweep::SweepRunner().threadsFor(1000000), 256u);
+    unsetenv("EQ_SWEEP_THREADS");
+}
+
+/** A point that throws stops the sweep: the exception reaches the
+ *  caller after the workers join (no std::terminate), and no point is
+ *  handed out after it on a serial sweep. */
+TEST(SweepRunnerTest, FirstPointExceptionIsRethrownAfterJoin)
+{
+    sweep::Grid g;
+    g.axis("x", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+    for (unsigned threads : {1u, 3u}) {
+        std::atomic<int> ran{0};
+        sweep::RunnerOptions opts;
+        opts.threads = threads;
+        auto fn = [&](const sweep::Point &p, unsigned) {
+            ++ran;
+            if (p.at("x") == 2)
+                throw std::runtime_error("point 2 failed");
+            return std::vector<Cell>{p.at("x")};
+        };
+        try {
+            sweep::SweepRunner(opts).run(g, {{"x", ValueKind::Int, 0, 0}},
+                                         fn);
+            ADD_FAILURE() << "expected the point's exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "point 2 failed");
+        }
+        if (threads == 1) {
+            EXPECT_EQ(ran.load(), 3);
+        }
+    }
 }
 
 TEST(SweepRunnerTest, EmptyGridYieldsEmptyTable)
